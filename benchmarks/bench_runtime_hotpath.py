@@ -13,8 +13,7 @@ repo (see ISSUE 2 / README "Performance"):
   seeded workload divided by the array runtime's wall time, so the two
   rows are directly comparable;
 - **events/sec** of the bare event core draining a self-rescheduling
-  churn workload under the ``heap`` and ``calendar`` schedulers
-  (``drain_heap`` / ``drain_calendar``);
+  churn workload (``drain_heap``);
 - **solves/sec** of Algorithm 1 (``assign_processors`` at Kmax=200
   total processors) and of the Program-6 solver
   (``min_processors_for_target``).
@@ -56,8 +55,7 @@ from repro.topology.grouping import BroadcastGrouping, FieldsGrouping
 
 #: v2 adds ``simulator.fanout`` (object engine), ``simulator.fanout_array``
 #: (array fast path, equivalent events/sec), and the bare-engine
-#: ``simulator.drain_heap`` / ``simulator.drain_calendar`` rows.  Every
-#: v1 key is unchanged.
+#: ``simulator.drain_heap`` row.  Every v1 key is unchanged.
 SCHEMA = "bench_runtime_hotpath/v2"
 
 
@@ -210,16 +208,15 @@ def run_array_case(name: str, scale: float, equivalent_events: int) -> dict:
     }
 
 
-def run_drain_case(scheduler: str, scale: float) -> dict:
+def run_drain_case(scale: float) -> dict:
     """Bare event core: drain a self-rescheduling churn workload.
 
-    Seeds the queue with enough live events to cross the calendar
-    scheduler's spill threshold, then every dispatched event reschedules
-    itself until the budget is spent — exercising push, pop, spill and
-    pour with no topology-runtime work in the loop.
+    Seeds the heap with a large live backlog, then every dispatched
+    event reschedules itself until the budget is spent — exercising
+    push and pop with no topology-runtime work in the loop.
     """
     rng = random.Random(99)
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     budget = int(160_000 * scale)
     initial = min(budget, int(16_000 * scale))
     scheduled = 0
@@ -238,9 +235,7 @@ def run_drain_case(scheduler: str, scale: float) -> dict:
     wall = time.perf_counter() - started
     events = sim.processed_events
     return {
-        "scheduler": scheduler,
         "events": events,
-        "spilled_events": sim.spilled_events,
         "wall_seconds": wall,
         "events_per_sec": events / wall if wall > 0 else None,
     }
@@ -404,13 +399,11 @@ def main(argv=None) -> int:
         " object engine)",
         file=sys.stderr,
     )
-    for scheduler in ("heap", "calendar"):
-        case = f"drain_{scheduler}"
-        result["simulator"][case] = best_of(
-            args.repeat, run_drain_case, scheduler, args.scale
-        )
-        rate = result["simulator"][case]["events_per_sec"]
-        print(f"simulator/{case}: {rate:,.0f} events/sec", file=sys.stderr)
+    result["simulator"]["drain_heap"] = best_of(
+        args.repeat, run_drain_case, args.scale
+    )
+    rate = result["simulator"]["drain_heap"]["events_per_sec"]
+    print(f"simulator/drain_heap: {rate:,.0f} events/sec", file=sys.stderr)
     result["solver"]["assign_k200"] = best_of(
         args.repeat, run_assign_bench, args.solver_iters
     )

@@ -39,14 +39,19 @@ def model_from_report(
     """Build a performance model from a measurement report.
 
     Returns ``None`` when the report lacks rates and no fallback model
-    is available to fill the gaps.
+    is available to fill the gaps, or when the measured external rate
+    is not positive (a window with no external arrivals yields no
+    model).
     """
+    external = report.external_rate
+    if external is not None and not external > 0:
+        return None
     if report.is_complete():
         return PerformanceModel.from_measurements(
             list(report.operator_names),
             [float(r) for r in report.arrival_rates],
             [float(r) for r in report.service_rates],
-            float(report.external_rate),
+            float(external),
         )
     if fallback is None:
         return None
@@ -60,9 +65,7 @@ def model_from_report(
         if value is not None:
             mus[index] = float(value)
     external = (
-        float(report.external_rate)
-        if report.external_rate is not None
-        else fallback.external_rate
+        float(external) if external is not None else fallback.external_rate
     )
     return PerformanceModel.from_measurements(
         list(report.operator_names), lams, mus, external

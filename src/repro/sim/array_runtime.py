@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.randomness.arrival import DeterministicProcess, PoissonProcess
-from repro.randomness.batched import _transplant_state
 from repro.randomness.distributions import Deterministic, Exponential
 from repro.sim.runtime import RunStats, RuntimeOptions
 from repro.utils.rng import RngFactory
@@ -91,7 +90,11 @@ def _numpy_stream(factory: RngFactory, *names: str) -> np.random.RandomState:
     consumes the same per-consumer uniforms, only through a vectorised
     transform.
     """
-    state, _, _ = _transplant_state(factory.stream(*names))
+    _, internal, _ = factory.stream(*names).getstate()
+    state = np.random.RandomState()
+    state.set_state(
+        ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
+    )
     return state
 
 

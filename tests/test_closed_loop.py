@@ -10,7 +10,7 @@ Four contracts, mirroring the platform-layer suite's structure:
   queue actually fills.
 - **Determinism is pinned** — the golden fixture freezes the full
   completion stream and every new counter for one backpressure run and
-  one drop-path run, on the heap AND the calendar scheduler.
+  one drop-path run.
   Regenerate (only on an intended semantic change)::
 
       PYTHONPATH=src python tests/test_closed_loop.py --regen
@@ -75,10 +75,10 @@ def _completions_digest(runtime: TopologyRuntime) -> str:
     return digest.hexdigest()
 
 
-def _run(options: RuntimeOptions, *, duration=60.0, scheduler="auto"):
+def _run(options: RuntimeOptions, *, duration=60.0):
     topology = _chain_topology()
     allocation = Allocation(["a", "b"], [2, 2])
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     runtime = TopologyRuntime(sim, topology, allocation, options)
     runtime.start()
     sim.run_until(duration)
@@ -239,9 +239,9 @@ class TestOptionValidation:
 
 
 # ----------------------------------------------------------------------
-# golden determinism: heap == calendar == fixture
+# golden determinism: run == fixture
 # ----------------------------------------------------------------------
-def _golden_case(variant: str, scheduler: str) -> dict:
+def _golden_case(variant: str) -> dict:
     source = create_closed_loop_source(
         {
             "kind": "closed_loop",
@@ -259,7 +259,7 @@ def _golden_case(variant: str, scheduler: str) -> dict:
         closed_loop=source,
     )
     topology = _chain_topology()
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     runtime = TopologyRuntime(
         sim, topology, Allocation(["a", "b"], [2, 2]), options
     )
@@ -281,9 +281,8 @@ def _golden_case(variant: str, scheduler: str) -> dict:
 
 
 class TestGoldenDeterminism:
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
     @pytest.mark.parametrize("variant", ["backpressure", "drop"])
-    def test_matches_fixture(self, variant, scheduler):
+    def test_matches_fixture(self, variant):
         path = GOLDEN_DIR / "closed_loop.json"
         if not path.exists():
             pytest.fail(
@@ -291,7 +290,7 @@ class TestGoldenDeterminism:
                 " `PYTHONPATH=src python tests/test_closed_loop.py --regen`"
             )
         fixture = json.loads(path.read_text())
-        assert _golden_case(variant, scheduler) == fixture[variant]
+        assert _golden_case(variant) == fixture[variant]
 
     def test_backpressure_never_drops(self):
         path = GOLDEN_DIR / "closed_loop.json"
@@ -559,7 +558,7 @@ class TestSloFeedback:
 def _regen() -> None:
     path = GOLDEN_DIR / "closed_loop.json"
     payload = {
-        variant: _golden_case(variant, "heap")
+        variant: _golden_case(variant)
         for variant in ("backpressure", "drop")
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")

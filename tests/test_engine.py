@@ -24,6 +24,15 @@ class TestScheduling:
         sim.run_until(2.0)
         assert fired == ["a", "b", "c"]
 
+    def test_ties_keep_schedule_order_across_large_backlog(self):
+        sim = Simulator()
+        fired = []
+        kind = sim.register_handler(lambda a, b: fired.append(a))
+        for i in range(5000):
+            sim.schedule_event(50.0 + (i % 7), kind, i)
+        sim.run_until(100.0)
+        assert fired == sorted(range(5000), key=lambda i: (i % 7, i))
+
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = []
@@ -160,80 +169,23 @@ class TestCompactionBoundary:
         assert sim._cancelled == 0
         assert sim.pending_events == 0
 
-
-class TestCalendarScheduler:
-    def test_scheduler_knob_validation(self):
-        with pytest.raises(SimulationError):
-            Simulator(scheduler="fibonacci")
-        with pytest.raises(SimulationError):
-            Simulator(spill_threshold=2)
-        assert Simulator(scheduler="heap").scheduler == "heap"
-
-    def test_calendar_spills_and_dispatches_identically(self):
-        import random as _random
-
-        def run(scheduler):
-            rng = _random.Random(99)
-            sim = Simulator(scheduler=scheduler, spill_threshold=64)
-            fired = []
-            kind = sim.register_handler(lambda a, b: fired.append((sim.now, a)))
-            for i in range(500):
-                sim.schedule_event(rng.uniform(0.0, 100.0), kind, i)
-            spilled = sim.spilled_events
-            sim.run_until(100.0)
-            return fired, spilled
-
-        heap_fired, _ = run("heap")
-        cal_fired, cal_spilled = run("calendar")
-        auto_fired, _ = run("auto")
-        assert cal_spilled > 0  # the ladder actually engaged
-        assert cal_fired == heap_fired
-        assert auto_fired == heap_fired
-
-    def test_heap_scheduler_never_spills(self):
-        sim = Simulator(scheduler="heap")
-        kind = sim.register_handler(lambda a, b: None)
-        for i in range(10_000):
-            sim.schedule_event(float(i), kind)
-        assert sim.spilled_events == 0
-        assert len(sim._queue) == 10_000
-
-    def test_ties_preserved_across_spill_boundary(self):
-        sim = Simulator(scheduler="calendar", spill_threshold=64)
-        fired = []
-        kind = sim.register_handler(lambda a, b: fired.append(a))
-        for i in range(300):
-            sim.schedule_event(50.0 + (i % 7), kind, i)
-        sim.run_until(100.0)
-        expected = sorted(range(300), key=lambda i: (i % 7, i))
-        assert fired == expected
-
-    def test_cancellation_reaches_spilled_entries(self):
-        sim = Simulator(scheduler="calendar", spill_threshold=64)
+    def test_compaction_counts_cancellations_on_large_backlog(self):
+        sim = Simulator()
         handles = [sim.schedule(float(i) + 1.0, lambda: None)
-                   for i in range(400)]
-        assert sim.spilled_events > 0
-        for handle in handles[100:]:
+                   for i in range(5000)]
+        for handle in handles[1000:]:
             handle.cancel()
-        # Compaction walked both heap and ladder buckets.
-        assert sim.pending_events == 100
+        # Compaction ran (repeatedly) and the counter carries exactly
+        # the cancelled entries still in the heap.
+        assert len(sim._queue) < 2000
+        assert sim._cancelled == len(sim._queue) - 1000
+        assert sim.pending_events == 1000
         fired = []
-        for handle in handles[:100]:
+        for handle in handles[:1000]:
             handle.callback = lambda: fired.append(1)
-        sim.run_until(500.0)
-        assert len(fired) == 100
+        sim.run_until(6000.0)
+        assert len(fired) == 1000
         assert sim.pending_events == 0
-
-    def test_step_pours_ladder(self):
-        sim = Simulator(scheduler="calendar", spill_threshold=64)
-        seen = []
-        kind = sim.register_handler(lambda a, b: seen.append(a))
-        for i in range(200):
-            sim.schedule_event(float(200 - i), kind, i)
-        assert sim.spilled_events > 0
-        while sim.step():
-            pass
-        assert seen == list(reversed(range(200)))
 
 
 class TestTypedEvents:

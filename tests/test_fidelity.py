@@ -30,6 +30,7 @@ from repro.fidelity.cases import build_case, case_from_spec
 from repro.fidelity.report import render_audit
 from repro.model.performance import PerformanceModel
 from repro.queueing import erlang
+from repro.scenarios.runner import run_replication
 
 MANIFEST_PATH = Path(__file__).parent / "golden" / "fidelity_tolerances.json"
 
@@ -175,6 +176,17 @@ class TestGrids:
         arrivals_low = (low.duration - low.warmup) * 0.3 * 4
         arrivals_high = (high.duration - high.warmup) * 0.95 * 4
         assert arrivals_high > 2.0 * arrivals_low
+
+    def test_window_without_external_arrivals_completes(self):
+        # At rho=0.2 with one server, seed 10's replication 0 has a
+        # measurement window with zero external arrivals; building a
+        # model from it used to crash the replication.
+        case = build_case(
+            "fanout", 0.2, 1, 1.0, "shared", replications=3, target_tuples=400
+        )
+        spec = fidelity_campaign("fc", cases=[case], seed=10).expand()[0].spec
+        result = run_replication(spec, 0)
+        assert result.mean_sojourn is not None
 
 
 # ----------------------------------------------------------------------

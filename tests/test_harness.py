@@ -51,6 +51,12 @@ class TestModelFromReport:
         assert model is not None
         assert model.network.arrival_rates == pytest.approx([10.0, 20.0, 10.0])
 
+    def test_zero_external_rate_yields_no_model(self):
+        # A measurement window with no external arrivals: the rates are
+        # all present, but there is no load to model.
+        report = self._report([10.0, 20.0, 10.0], [4.0, 6.0, 20.0], 0.0)
+        assert model_from_report(report) is None
+
     def test_incomplete_without_fallback(self):
         report = self._report([10.0, None, 10.0], [4.0, 6.0, 20.0], 10.0)
         assert model_from_report(report) is None
