@@ -164,6 +164,58 @@ def _run_case(case: str):
         )
         duration, warmup = 400.0, 40.0
         rebalance_at = (100.0, Allocation(["a", "b", "c"], [6, 6, 2]))
+    elif case == "diamond_hashed_limit_zero_hop":
+        # The diamond_hashed_limit case without its hop delay: hashed
+        # picks and queue-limit drops on direct (same-event) delivery.
+        topology = _diamond_topology()
+        allocation = Allocation(["split", "left", "right", "merge"], [2, 3, 1, 2])
+        options = RuntimeOptions(
+            seed=7, queue_discipline="hashed", queue_limit=12
+        )
+        duration, warmup, rebalance_at = 240.0, 30.0, None
+    elif case == "linear_jsq_hop":
+        # Constant hop latency with per-executor queues below
+        # _JSQ_HEAP_MIN: every copy is delivered by the hop event.
+        topology = _linear_topology()
+        allocation = Allocation(["a", "b", "c"], [5, 6, 3])
+        options = RuntimeOptions(
+            seed=42, queue_discipline="jsq", hop_latency=0.015
+        )
+        duration, warmup, rebalance_at = 300.0, 50.0, None
+    elif case == "loop_shared_hop":
+        # Constant hop latency on the shared queue, with broadcast and
+        # fields edges inside a feedback loop.
+        topology = _loop_topology()
+        allocation = Allocation(["a", "b", "det"], [3, 2, 2])
+        options = RuntimeOptions(
+            seed=19, queue_discipline="shared", hop_latency=0.01
+        )
+        duration, warmup, rebalance_at = 240.0, 30.0, None
+    elif case == "wide_jsq_hop_rebalance":
+        # The lazy shortest-queue heap (k >= _JSQ_HEAP_MIN) behind a
+        # hop delay, with queue-limit drops and a rebalance pause.
+        topology = (
+            TopologyBuilder("golden_wide_hop")
+            .add_spout("src", rate=40.0)
+            .add_operator("a", mu=2.2)
+            .add_operator("b", mu=3.6)
+            .connect("src", "a")
+            .connect("a", "b", gain=1.5)
+            .build()
+        )
+        allocation = Allocation(["a", "b"], [24, 20])
+        options = RuntimeOptions(
+            seed=29,
+            queue_discipline="jsq",
+            queue_limit=200,
+            hop_latency=0.05,
+            timeline_bucket=25.0,
+            rebalance_cost=RebalanceCostModel(
+                style=RebalanceStyle.STORM_DEFAULT, default_pause=12.0
+            ),
+        )
+        duration, warmup = 200.0, 25.0
+        rebalance_at = (80.0, Allocation(["a", "b"], [20, 24]))
     else:  # pragma: no cover
         raise ValueError(f"unknown golden case {case!r}")
 
@@ -227,6 +279,10 @@ SIM_CASES = [
     "loop_jsq_broadcast",
     "rebalance_jsq",
     "wide_jsq_rebalance",
+    "diamond_hashed_limit_zero_hop",
+    "linear_jsq_hop",
+    "loop_shared_hop",
+    "wide_jsq_hop_rebalance",
 ]
 
 
