@@ -1,17 +1,16 @@
 """Closed-loop / backpressure overhead benchmark: events/sec per mode.
 
-The closed-loop client layer and backpressure propagation both route
-deliveries off the runtime's array-append fast path, so this bench
-answers two questions the PR's review asked:
+Every mode delivers through the runtime's one ``_deliver`` /
+``_begin_service`` path; the modes differ in the bookkeeping layered on
+it, and this bench prices each layer:
 
-- ``open_loop`` — the untouched default path (no queue limit, no
-  clients): the reference events/sec, directly comparable to
+- ``open_loop`` — the default path (no queue limit, no clients): the
+  reference events/sec, directly comparable to
   ``bench_runtime_hotpath.py``'s linear case;
-- ``drop`` — bounded queues without backpressure (the PR2 drop
-  semantics): what the ``queue_limit`` guard alone costs;
-- ``backpressure`` — bounded queues with upstream pausing: the full
-  ``_deliver``-routed path including full-flag bookkeeping and
-  wake-up cascades;
+- ``drop`` — bounded queues without backpressure (the drop
+  semantics): what the ``queue_limit`` test alone costs;
+- ``backpressure`` — bounded queues with upstream pausing: full-flag
+  bookkeeping and wake-up cascades on every delivery;
 - ``closed_loop`` — finite clients with think times and outstanding
   caps over a backpressured topology: the complete new machinery.
 

@@ -142,18 +142,8 @@ def fanout_case():
     )
 
 
-def platform_off_case():
-    """Identical to ``linear`` — tracked separately to bound the cost of
-    the platform guards (the ``het`` flag test per emitted copy and the
-    ``dead`` check per finish) when no platform block is set.  The
-    baseline entry is a copy of pre-platform ``linear``, so the CI gate
-    on this row proves the no-platform path stayed within tolerance."""
-    return linear_case()
-
-
 SIM_CASES = {
     "linear": (linear_case, 120.0),
-    "platform_off": (platform_off_case, 120.0),
     "diamond": (diamond_case, 90.0),
     "loop": (loop_case, 150.0),
     "fanout": (fanout_case, 60.0),
@@ -368,9 +358,8 @@ def main(argv=None) -> int:
     }
     # Round-major order: every round times each case once, back to
     # back, and the best round per case wins.  Host-speed drift over
-    # the run then hits all cases alike, so *ratios* between rows
-    # (e.g. platform_off / linear, which check_regression.py gates
-    # with --relative-to) stay far tighter than with per-case blocks.
+    # the run then hits all cases alike, so ratios between rows stay
+    # far tighter than with per-case blocks.
     sim_rows: dict = {}
     for _ in range(args.repeat):
         for name in SIM_CASES:

@@ -38,10 +38,6 @@ DEFAULT_BASELINE = pathlib.Path(__file__).parent / "BENCH_RUNTIME_baseline.json"
 #: warning instead of failing, so the schema bump is non-breaking.
 TRACKED = [
     ("simulator", "linear", "events_per_sec"),
-    # The platform_off baseline is a copy of pre-platform linear: the
-    # row bounds what the platform-layer guards cost every run that
-    # sets no platform block (CI gates it at a tighter threshold).
-    ("simulator", "platform_off", "events_per_sec"),
     ("simulator", "diamond", "events_per_sec"),
     ("simulator", "loop", "events_per_sec"),
     ("simulator", "fanout", "events_per_sec"),
@@ -78,69 +74,13 @@ def main(argv=None) -> int:
         default=0.25,
         help="maximum tolerated fractional regression (0.25 = 25%%)",
     )
-    parser.add_argument(
-        "--cases",
-        default=None,
-        help=(
-            "comma-separated 'section/case' filters limiting the check"
-            " to a subset of the tracked rows (e.g."
-            " 'simulator/platform_off'); unknown filters fail loudly"
-        ),
-    )
-    parser.add_argument(
-        "--relative-to",
-        default=None,
-        metavar="SECTION/CASE",
-        help=(
-            "divide every checked metric by this row's metric from the"
-            " *same* results file before comparing.  Host noise moves"
-            " both rows together and cancels, leaving only the checked"
-            " rows' drift relative to the reference — e.g. gating"
-            " simulator/platform_off relative to simulator/linear"
-            " isolates the platform guards' overhead, because the"
-            " committed platform_off baseline is a copy of pre-platform"
-            " linear (baseline ratio 1.0)."
-        ),
-    )
     args = parser.parse_args(argv)
-
-    tracked = TRACKED
-    if args.cases is not None:
-        wanted = {entry.strip() for entry in args.cases.split(",") if entry.strip()}
-        known = {f"{section}/{case}" for section, case, _ in TRACKED}
-        unknown = wanted - known
-        if unknown:
-            raise SystemExit(
-                f"--cases names untracked rows: {sorted(unknown)};"
-                f" tracked: {sorted(known)}"
-            )
-        tracked = [
-            row for row in TRACKED if f"{row[0]}/{row[1]}" in wanted
-        ]
 
     current = json.loads(pathlib.Path(args.current).read_text())
     baseline = json.loads(pathlib.Path(args.baseline).read_text())
 
-    reference = None
-    if args.relative_to is not None:
-        try:
-            ref_section, ref_case = args.relative_to.split("/", 1)
-        except ValueError:
-            raise SystemExit(
-                f"--relative-to must be SECTION/CASE, got {args.relative_to!r}"
-            )
-        ref_metric = next(
-            (m for s, c, m in TRACKED if (s, c) == (ref_section, ref_case)),
-            None,
-        )
-        if ref_metric is None:
-            raise SystemExit(
-                f"--relative-to names an untracked row: {args.relative_to!r}"
-            )
-        reference = (ref_section, ref_case, ref_metric)
-
     failures = []
-    for section, case, metric in tracked:
+    for section, case, metric in TRACKED:
         if case not in baseline.get(section, {}):
             print(f"{section}/{case}: not in baseline, skipped [warn]")
             continue
@@ -149,9 +89,6 @@ def main(argv=None) -> int:
             continue
         base = normalised(baseline, section, case, metric)
         now = normalised(current, section, case, metric)
-        if reference is not None:
-            base /= normalised(baseline, *reference)
-            now /= normalised(current, *reference)
         change = now / base - 1.0
         status = "ok"
         if change < -args.threshold:

@@ -58,13 +58,18 @@ class TupleTreeTracker:
             raise MeasurementError(f"duplicate root id {root_id}")
         self._roots[root_id] = [arrival_time, 1, 1]
 
-    def add_pending(self, root_id: int, count: int) -> None:
-        """Record that ``count`` new descendants of ``root_id`` now exist."""
+    def add_pending(self, root_id: int, count: int) -> bool:
+        """Record that ``count`` new descendants of ``root_id`` now exist.
+
+        Returns True when the growth pushed the tree past
+        ``max_tree_size`` and dropped it (callers holding per-tree
+        resources release them then).
+        """
         if count < 0:
             raise MeasurementError(f"count must be >= 0, got {count}")
         state = self._roots.get(root_id)
         if state is None:
-            return  # tree no longer tracked (completed or dropped)
+            return False  # tree no longer tracked (completed or dropped)
         state[1] += count
         state[2] += count
         if state[2] > self._max_tree_size:
@@ -72,6 +77,8 @@ class TupleTreeTracker:
             # and count the drop so callers can alert on it.
             del self._roots[root_id]
             self._dropped += 1
+            return True
+        return False
 
     def complete_one(self, root_id: int, now: float) -> Optional[float]:
         """Record that one tuple of tree ``root_id`` finished processing.

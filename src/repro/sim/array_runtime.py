@@ -59,7 +59,7 @@ def array_capable(topology, options: RuntimeOptions) -> Optional[str]:
         return "backpressure needs the object engine's blocking semantics"
     if options.closed_loop is not None:
         return "closed-loop sources need the object engine's client states"
-    if options.hop_latency != 0.0 or options.hop_latency_distribution is not None:
+    if options.hop_latency != 0.0:
         return "hop latency is non-zero"
     if options.platform is not None:
         return "platform is set (links/speeds/churn need the object engine)"

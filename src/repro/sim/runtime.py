@@ -29,16 +29,22 @@ The DRS measurer is wired into the hot path; a measurement tick fires
 every ``Tm`` simulated seconds and the resulting report is passed to the
 ``on_measurement`` hook (where the live controller sits).
 
-Hot-path design (ISSUE 2)
--------------------------
+Hot-path design
+---------------
 Every tuple movement goes through typed events (``Simulator.schedule_event``)
-dispatched by kind — no per-event closures or handles.  Routing state is
-precomputed once per runtime:
+dispatched by kind — no per-event closures or handles.  A tuple reaches
+an executor one way only: ``_emit_tuples`` either schedules the route's
+transfer delay (a hop event, whose handler delivers) or calls
+``_deliver`` directly, and ``_deliver`` starts service on an idle
+executor through ``_begin_service``, the one place a service time is
+drawn.  Routing state is precomputed once per runtime:
 
 - ``_Route`` records carry the target operator runtime, the resolved
   grouping (``None`` for free-choice/shuffle), the deterministic-gain
-  integer/fraction split and prebound measurement recorders, so an
-  emission costs no dict lookups and no temporary objects;
+  integer/fraction split, the prebound arrival counter and the transfer
+  delay (the legacy constant ``hop_latency``, or the platform's
+  per-edge link cost), so an emission costs no dict lookups and no
+  temporary objects;
 - each operator keeps an O(1) ``queued`` counter (the ``queue_limit``
   test used to re-scan every executor queue per routed tuple);
 - ``jsq`` operators with at least ``_JSQ_HEAP_MIN`` executors maintain a
@@ -92,7 +98,7 @@ _JSQ_HEAP_MIN = 16
 _CHURN_RETRY = 1.0
 
 # Module-level aliases: a LOAD_GLOBAL beats the attribute chain in the
-# per-tuple loops below.
+# per-tuple delivery and finish handlers below.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
@@ -117,13 +123,12 @@ def _mean_transfer(matrix, sources, targets) -> float:
 class RuntimeOptions:
     """Tunables of the simulated CSP layer.
 
-    ``hop_latency`` is the fixed per-emission transport delay (seconds);
-    ``hop_latency_distribution`` overrides it with a random one.  Both
-    are **legacy** knobs: they model the network as one global constant.
-    New code should describe the substrate with a ``platform`` block
-    instead (per-link latencies/bandwidths, machine speeds, churn); the
-    legacy knobs keep working unchanged — and stay byte-identical — for
-    every existing spec, but gain no new features.
+    ``hop_latency`` is the fixed per-emission transport delay (seconds).
+    It is a **legacy** knob: it models the network as one global
+    constant.  New code should describe the substrate with a
+    ``platform`` block instead (per-link latencies/bandwidths, machine
+    speeds, churn); the legacy knob keeps working unchanged — and stays
+    byte-identical — for every existing spec, but gains no new features.
     ``queue_limit`` bounds each operator's total queued tuples; beyond
     it tuples are dropped and their trees abandoned (the "errors when
     the queue reaches its size limit" failure mode of the paper's
@@ -139,7 +144,6 @@ class RuntimeOptions:
 
     queue_discipline: str = "jsq"
     hop_latency: float = 0.0
-    hop_latency_distribution: Optional[Distribution] = None
     queue_limit: Optional[int] = None
     measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
     rebalance_cost: RebalanceCostModel = field(default_factory=RebalanceCostModel)
@@ -163,10 +167,9 @@ class RuntimeOptions:
     #: duck-typed because repro.platform sits above sim in the
     #: layering).  The binding supplies per-executor machines/speeds,
     #: the machine-pair transfer matrix and the churn process.  ``None``
-    #: keeps the legacy hop-constant path byte-for-byte.  Mutually
-    #: exclusive with the deprecated ``hop_latency`` /
-    #: ``hop_latency_distribution`` knobs: per-edge transfer times come
-    #: from the platform's links.
+    #: keeps the legacy constant ``hop_latency`` byte-for-byte.
+    #: Mutually exclusive with a non-zero ``hop_latency``: per-edge
+    #: transfer times come from the platform's links.
     platform: Optional[Any] = None
     #: Closed-loop client population *replacing* each spout's arrival
     #: process — any object with ``think_gap(rng) -> float`` plus
@@ -221,11 +224,11 @@ class RuntimeOptions:
                     " method (e.g. a repro.platform PlatformSpec); got"
                     f" {self.platform!r}"
                 )
-            if self.hop_latency != 0.0 or self.hop_latency_distribution is not None:
+            if self.hop_latency != 0.0:
                 raise SimulationError(
-                    "hop_latency/hop_latency_distribution and platform are"
-                    " mutually exclusive: per-edge transfer times come from"
-                    " the platform's links"
+                    "hop_latency and platform are mutually exclusive:"
+                    " per-edge transfer times come from the platform's"
+                    " links"
                 )
         if self.backpressure and self.queue_limit is None:
             raise SimulationError(
@@ -336,8 +339,8 @@ class _Route:
     fractional parts of a deterministic gain (``fanout is None``);
     ``arrivals`` is the target operator's measurement counter, updated
     inline by the emission loop; ``transfer`` is the per-edge transport
-    delay under a platform (placement-mean link cost; 0.0 and unread on
-    the legacy path)."""
+    delay: the constant ``hop_latency`` off-platform, the placement-mean
+    link cost under a platform."""
 
     __slots__ = (
         "edge",
@@ -350,7 +353,7 @@ class _Route:
         "transfer",
     )
 
-    def __init__(self, edge, op, measurer: Measurer):
+    def __init__(self, edge, op, measurer: Measurer, transfer: float):
         self.edge = edge
         self.op = op
         grouping = edge.grouping
@@ -362,7 +365,7 @@ class _Route:
         self.base = base
         self.frac = gain - base
         self.arrivals = measurer.arrival_counter(edge.target)
-        self.transfer = 0.0
+        self.transfer = transfer
 
 
 class _SpoutSource:
@@ -455,14 +458,6 @@ class _OperatorRuntime:
         self.full = False
         self.bp_preds: Tuple["_OperatorRuntime", ...] = ()
 
-    @property
-    def parallelism(self) -> int:
-        return len(self.executors)
-
-    def queued_total(self) -> int:
-        """Tuples queued at this operator — O(1) (maintained counter)."""
-        return self.queued
-
     def set_executors(self, k: int) -> None:
         """Install ``k`` fresh executors (and a fresh jsq heap when the
         parallelism warrants one)."""
@@ -519,7 +514,6 @@ class TopologyRuntime:
             )
         rng_factory = RngFactory(self._options.seed)
         self._route_rng = rng_factory.stream("routing")
-        self._hop_rng = rng_factory.stream("hops")
         self._service_rngs = {
             name: rng_factory.stream("service", name)
             for name in topology.operator_names
@@ -560,6 +554,9 @@ class TopologyRuntime:
             topology.operator_names, self._options.measurement
         )
         self._external_counter = self._measurer.external_counter()
+        # Off-platform every route carries the constant legacy hop delay;
+        # a platform binding overwrites it with per-edge link costs.
+        hop = self._options.hop_latency
         for name, runtime in self._operators.items():
             runtime.service_acc = self._measurer.service_accumulator(name)
             runtime.service_rng = self._service_rngs[name]
@@ -568,7 +565,7 @@ class TopologyRuntime:
                 runtime.service_random = runtime.service_rng.random
                 runtime.service_rate = service_dist.rate
             runtime.out_routes = tuple(
-                _Route(edge, self._operators[edge.target], self._measurer)
+                _Route(edge, self._operators[edge.target], self._measurer, hop)
                 for edge in topology.out_edges(name)
             )
         self._spout_sources: List[_SpoutSource] = [
@@ -577,7 +574,9 @@ class TopologyRuntime:
                 self._spout_rngs[name],
                 self._arrival_processes[name],
                 tuple(
-                    _Route(edge, self._operators[edge.target], self._measurer)
+                    _Route(
+                        edge, self._operators[edge.target], self._measurer, hop
+                    )
                     for edge in topology.out_edges(name)
                 ),
             )
@@ -585,10 +584,6 @@ class TopologyRuntime:
         ]
 
         self._tracker = TupleTreeTracker(on_complete=self._on_tree_complete)
-        # The tracker never reassigns its root table; cache it (and the
-        # tree-size bound) to skip two attribute hops per event.
-        self._roots = self._tracker._roots
-        self._max_tree_size = self._tracker._max_tree_size
         self._allocation = allocation
         self._paused = False
         self._started = False
@@ -605,10 +600,7 @@ class TopologyRuntime:
         self.on_measurement: Optional[Callable[[MeasurementReport], None]] = None
 
         # Platform layer: bind placement, per-edge transfer delays,
-        # machine speeds and the churn process.  ``None`` leaves the
-        # legacy hop-constant path untouched byte-for-byte (the golden
-        # suite pins this; the ``platform_off`` benchmark row bounds the
-        # guard's overhead).
+        # machine speeds and the churn process.
         self._platform = None
         self._patterns: Dict[str, Tuple[int, ...]] = {}
         self._machine_up: List[bool] = []
@@ -657,18 +649,9 @@ class TopologyRuntime:
                 op_runtime.bp_preds = tuple(preds[name])
 
         # Hot-path constants, prebound RNG methods and typed-event kinds.
-        self._het = self._platform is not None
         self._queue_limit = self._options.queue_limit
-        # Free-choice deliveries skip the generic _deliver path entirely
-        # while unpaused (the queue-limit test is O(1) inline); kept in
-        # sync by apply_allocation.  Backpressure needs every delivery
-        # on the generic path, where full-queue marking lives.
-        self._fast = not self._bp
-        self._hop_dist = self._options.hop_latency_distribution
-        self._hop_const = self._options.hop_latency
         self._pull_interval = self._options.measurement.pull_interval
         self._fanout_random = self._fanout_rng.random
-        self._route_randrange = self._route_rng.randrange
         self._kind_spout = simulator.register_handler(self._on_spout)
         self._kind_hop = simulator.register_handler(self._on_hop)
         self._kind_finish = simulator.register_handler(self._on_finish)
@@ -807,7 +790,6 @@ class TopologyRuntime:
         )
         self._rebalances += 1
         self._paused = True
-        self._fast = False
         # Move all queued tuples into per-operator holding buffers.
         for runtime in self._operators.values():
             displaced = runtime.resize(0)
@@ -827,7 +809,6 @@ class TopologyRuntime:
                     self._pin_executors(runtime, pattern)
                 self._refresh_transfers()
             self._paused = False
-            self._fast = not self._bp
             for runtime in self._operators.values():
                 held = list(runtime.held)
                 runtime.held.clear()
@@ -961,9 +942,11 @@ class TopologyRuntime:
     def check_conservation(self) -> None:
         """Every tracked tree is completed, in flight, or dropped.
 
-        Closed-loop runs add two identities: every issued request was
-        either admitted (became an external tuple) or rejected, and the
-        clients' in-flight counts agree with the root table.
+        Closed-loop runs add three identities: every issued request was
+        either admitted (became an external tuple) or rejected, the
+        clients' in-flight counts agree with the root table, and every
+        root in that table is still tracked (a tree that completed or
+        was dropped must have released its client).
         """
         accounted = self._tracker.completed + self._tracker.in_flight
         accounted += self._tracker.dropped
@@ -988,41 +971,30 @@ class TopologyRuntime:
                     f" {outstanding} outstanding requests but"
                     f" {len(self._cl_roots)} roots are mapped"
                 )
+            for root in self._cl_roots:
+                if self._tracker.pending_of(root) is None:
+                    raise SimulationError(
+                        f"closed-loop conservation violated: root {root}"
+                        " holds a client slot but is no longer tracked"
+                    )
 
     # ------------------------------------------------------------------
     # typed-event handlers (the hot path)
     #
-    # The emission pipeline (gain sampling, arrival counting, hop delay,
-    # free-choice delivery, service start, finish-event push) is fully
-    # inlined in ``_emit_tuples`` — one interpreter frame per processed
-    # tuple.  Inlining means: direct counter and Welford-accumulator
-    # updates (same arithmetic as their methods), direct tuple-tree
-    # bookkeeping (same semantics as TupleTreeTracker
-    # add_pending/complete_one) and direct event-heap pushes (same
-    # validation and sequence numbering as ``Simulator.schedule_event``).
-    # The RNG draw order matches the original _sample_count/_dispatch
-    # factoring exactly: fanout draw, then per-copy hop/routing draws.
-    # Any change here must keep tests/test_golden_determinism.py green
-    # without regenerating its fixtures.
+    # A processed tuple's copies leave through ``_emit_tuples``: it
+    # samples each route's copy count, grows the tuple tree and then,
+    # per copy, either schedules the route's transfer delay (the hop
+    # event delivers) or delivers at once.  ``_deliver`` is the only
+    # way into an executor queue and ``_begin_service`` the only place
+    # service starts.  The RNG draw order is fixed: fanout draw, then
+    # per-copy routing and service draws in copy order.  Any change
+    # here must keep tests/test_golden_determinism.py green without
+    # regenerating its fixtures.
     # ------------------------------------------------------------------
-    def _emit_tuples(self, routes, payload, root, now, external: bool) -> None:
-        """Emit one processed tuple's downstream copies along ``routes``.
-
-        One frame per processed tuple: fanout sampling, tree
-        bookkeeping, hop delay, free-choice delivery and service start
-        are all inlined below."""
-        sim = self._sim
-        tracker = self._tracker
-        roots = self._roots
-        fast = self._fast
-        limit = self._queue_limit
+    def _emit_tuples(self, routes, payload, root, external: bool) -> None:
+        """Emit one processed tuple's downstream copies along ``routes``."""
         ext_counter = self._external_counter if external else None
         frandom = self._fanout_random
-        hop_dist = self._hop_dist
-        hop_const = self._hop_const
-        het = self._het
-        kind_finish = self._kind_finish
-        state = roots.get(root)
         for route in routes:
             fanout = route.fanout
             if fanout is None:
@@ -1041,149 +1013,58 @@ class TopologyRuntime:
                         count += 1
             if count <= 0:
                 continue
-            # inline TupleTreeTracker.add_pending (count >= 1 here)
-            if state is not None:
-                state[1] += count
-                size = state[2] + count
-                state[2] = size
-                if size > self._max_tree_size:
-                    # An exploding tree means an unstable feedback loop;
-                    # drop it and count the drop so callers can alert.
-                    if roots.pop(root, None) is not None:
-                        tracker._dropped += 1
-                        if self._cl is not None:
-                            self._cl_release(root)
-                    state = None
+            self._add_pending(root, count)
             arrivals = route.arrivals
-            op = route.op
-            sel = route.sel
+            delay = route.transfer
             for _ in range(count):
                 arrivals._count += 1
                 if ext_counter is not None:
                     ext_counter._count += 1
-                if het:
-                    delay = route.transfer
-                    if delay > 0.0:
-                        sim.schedule_event(delay, self._kind_hop, route, payload)
-                        continue
-                elif hop_dist is not None:
-                    delay = hop_dist.sample(self._hop_rng)
-                    if delay > 0:
-                        sim.schedule_event(delay, self._kind_hop, route, payload)
-                        continue
-                elif hop_const > 0:
-                    sim.schedule_event(hop_const, self._kind_hop, route, payload)
-                    continue
-                # -- delivery (zero hop delay) ------------------------
-                if sel is not None or not fast or op.shared:
-                    self._deliver(op, payload, sel)
-                    continue
-                if limit is not None and op.queued >= limit:
-                    self._drop(payload)
-                    continue
-                executors = op.executors
-                n_ex = len(executors)
-                if n_ex == 0:
-                    self._drop(payload)
-                    continue
-                jheap = op.jsq_heap
-                if jheap is not None:
-                    while True:
-                        load, index = jheap[0]
-                        executor = executors[index]
-                        if executor.load == load:
-                            break
-                        _heappop(jheap)
-                    load += 1
-                    executor.load = load
-                    _heappush(jheap, (load, index))
-                    if len(jheap) > op.jsq_rebuild:
-                        jheap[:] = sorted(
-                            (ex.load, i) for i, ex in enumerate(executors)
-                        )
-                elif op.jsq:
-                    best_index = 0
-                    best_load = math.inf
-                    for index, executor in enumerate(executors):
-                        load = len(executor.queue) + (1 if executor.busy else 0)
-                        if load < best_load:
-                            best_load = load
-                            best_index = index
-                            if load == 0:
-                                break
-                    executor = executors[best_index]
-                else:  # hashed
-                    executor = executors[self._route_randrange(n_ex)]
-                if executor.busy:
-                    executor.queue.append((payload, now))
-                    op.queued += 1
-                    continue
-                # -- service start on an idle executor ----------------
-                # (skipping the enqueue/dequeue round-trip; the queue
-                # wait is exactly 0.0, as now - now was in _begin_service)
-                executor.busy = True
-                ws = op.wait_stats
-                n = ws._n + 1
-                ws._n = n
-                delta = 0.0 - ws._mean
-                mean = ws._mean + delta / n
-                ws._mean = mean
-                ws._m2 += delta * (0.0 - mean)
-                if 0.0 < ws._min:
-                    ws._min = 0.0
-                if 0.0 > ws._max:
-                    ws._max = 0.0
-                srandom = op.service_random
-                if srandom is not None:  # inline expovariate
-                    duration = -_log(1.0 - srandom()) / op.service_rate
+                if delay > 0.0:
+                    self._sim.schedule_event(delay, self._kind_hop, route, payload)
                 else:
-                    duration = op.sample_service(op.service_rng)
-                if het:
-                    duration /= executor.speed
-                ss = op.service_stats
-                n = ss._n + 1
-                ss._n = n
-                delta = duration - ss._mean
-                mean = ss._mean + delta / n
-                ss._mean = mean
-                ss._m2 += delta * (duration - mean)
-                if duration < ss._min:
-                    ss._min = duration
-                if duration > ss._max:
-                    ss._max = duration
-                executor.payload = payload
-                executor.duration = duration
-                # inline Simulator.schedule_event
-                if not duration >= 0.0:  # negative or NaN service time
-                    raise SimulationError(
-                        f"cannot schedule into the past: delay={duration}"
-                    )
-                time = now + duration
-                seq = sim._seq
-                sim._seq = seq + 1
-                _heappush(sim._queue, (time, seq, kind_finish, op, executor))
+                    self._deliver(route.op, payload, route.sel)
 
-    def _on_spout(self, source: _SpoutSource, _unused) -> None:
-        """One external arrival: emit its tuple tree roots, then
-        schedule the next arrival of this spout."""
-        sim = self._sim
-        now = sim._now
-        if self._bp and self._routes_full(source.routes):
-            # A downstream queue is full: pause the source.  The next
-            # arrival is *not* scheduled — the deferred emission (and
-            # the gap after it) resume when the queue drains.
-            source.blocked_since = now
-            self._bp_waiters.append(source)
-            return
+    def _add_pending(self, root: int, count: int) -> None:
+        """Grow ``root``'s tree by ``count`` tuples.  A tree that outgrows
+        the tracker's size bound (an unstable feedback loop) is dropped,
+        which also frees its closed-loop client slot."""
+        if self._tracker.add_pending(root, count) and self._cl is not None:
+            self._cl_release(root)
+
+    def _emit_root(self, routes, client: Optional[_ClientState] = None) -> None:
+        """Admit one external tuple: register its tree, emit it along
+        ``routes`` and retire the root tuple itself.
+
+        A closed-loop ``client`` is mapped to the root (and its slot
+        taken) *before* emitting, so a drop during emission releases it
+        through the same idempotent path as a completion.
+        """
+        now = self._sim._now
         root_id = self._root_counter
         self._root_counter = root_id + 1
         self._external_tuples += 1
         tracker = self._tracker
         tracker.register_root(root_id, now)
-        payload = {"root": root_id}
-        self._emit_tuples(source.routes, payload, root_id, now, True)
+        if client is not None:
+            self._cl_roots[root_id] = client
+            client.outstanding += 1
+        self._emit_tuples(routes, {"root": root_id}, root_id, True)
         # The root "tuple" itself needs no processing once emitted.
         tracker.complete_one(root_id, now)
+
+    def _on_spout(self, source: _SpoutSource, _unused) -> None:
+        """One external arrival: emit its tuple tree roots, then
+        schedule the next arrival of this spout."""
+        sim = self._sim
+        if self._bp and self._routes_full(source.routes):
+            # A downstream queue is full: pause the source.  The next
+            # arrival is *not* scheduled — the deferred emission (and
+            # the gap after it) resume when the queue drains.
+            source.blocked_since = sim._now
+            self._bp_waiters.append(source)
+            return
+        self._emit_root(source.routes)
         gap = source.next_gap(sim._now, source.rng)
         sim.schedule_event(gap, self._kind_spout, source)
 
@@ -1224,9 +1105,6 @@ class TopologyRuntime:
         request is counted as rejected and never enters the topology —
         the client simply thinks again (a fast retry-after).
         """
-        sim = self._sim
-        now = sim._now
-        cl = self._cl
         source = client.source
         self._issued_requests += 1
         admit_at = self._cl_admission
@@ -1237,21 +1115,9 @@ class TopologyRuntime:
         ):
             self._admission_rejected += 1
         else:
-            root_id = self._root_counter
-            self._root_counter = root_id + 1
-            self._external_tuples += 1
-            tracker = self._tracker
-            tracker.register_root(root_id, now)
-            # Map the root (and bump outstanding) *before* emitting:
-            # a queue-limit drop during emission must release the
-            # client through the same idempotent path as a completion.
-            self._cl_roots[root_id] = client
-            client.outstanding += 1
-            payload = {"root": root_id}
-            self._emit_tuples(source.routes, payload, root_id, now, True)
-            tracker.complete_one(root_id, now)
-        gap = cl.think_gap(source.rng)
-        sim.schedule_event(gap, self._kind_client, client)
+            self._emit_root(source.routes, client)
+        gap = self._cl.think_gap(source.rng)
+        self._sim.schedule_event(gap, self._kind_client, client)
 
     def _cl_release(self, root: int) -> None:
         """A root left the system (completed or dropped): free its
@@ -1279,42 +1145,15 @@ class TopologyRuntime:
             if payload is not None:
                 self._drop(payload)
             return
-        sim = self._sim
-        now = sim._now
         op.processed += 1
-        duration = executor.duration
-        # inline SampledAccumulator.offer (the measurer's service channel)
-        acc = op.service_acc
-        phase = acc._phase + 1
-        if phase >= acc._every:
-            acc._phase = 0
-            acc._sum += duration
-            acc._sum_squares += duration * duration
-            acc._n += 1
-        else:
-            acc._phase = phase
+        op.service_acc.offer(executor.duration)
         payload = executor.payload
         executor.payload = None
         root = payload["root"]
-        roots = self._roots
-        routes = op.out_routes
-        if routes:
-            self._emit_tuples(routes, payload, root, now, False)
-        # inline TupleTreeTracker.complete_one (refreshed get: a queue
-        # drop during emission may have removed the tree)
-        state = roots.get(root)
-        if state is not None:
-            pending = state[1] - 1
-            if pending > 0:
-                state[1] = pending
-            elif pending == 0:
-                arrival = state[0]
-                del roots[root]
-                self._tracker._completed += 1
-                self._on_tree_complete(root, arrival, now - arrival)
-            else:
-                state[1] = pending
-                self._tracker.complete_one(root, now)  # raises the error
+        if op.out_routes:
+            self._emit_tuples(op.out_routes, payload, root, False)
+        # A queue drop during emission may already have removed the tree.
+        self._tracker.complete_one(root, self._sim._now)
         executor.busy = False
         jheap = op.jsq_heap
         if jheap is not None:
@@ -1330,62 +1169,14 @@ class TopologyRuntime:
         if op.shared:
             self._kick_shared(op)
             return
-        if self._paused or executor.busy:
+        if self._paused:
             return
         if self._bp and not self._bp_can_serve(op):
             # A successor queue is full: leave the executor idle; the
             # successor's drain wakes this operator's predecessor side.
             return
-        queue = executor.queue
-        if not queue:
-            return
-        # -- restart on the next queued tuple (inline _begin_service) --
-        executor.busy = True
-        head_payload, enqueued_at = queue.popleft()
-        op.queued -= 1
-        ws = op.wait_stats
-        value = now - enqueued_at
-        n = ws._n + 1
-        ws._n = n
-        delta = value - ws._mean
-        mean = ws._mean + delta / n
-        ws._mean = mean
-        ws._m2 += delta * (value - mean)
-        if value < ws._min:
-            ws._min = value
-        if value > ws._max:
-            ws._max = value
-        srandom = op.service_random
-        if srandom is not None:  # inline expovariate
-            duration = -_log(1.0 - srandom()) / op.service_rate
-        else:
-            duration = op.sample_service(op.service_rng)
-        if self._het:
-            duration /= executor.speed
-        ss = op.service_stats
-        n = ss._n + 1
-        ss._n = n
-        delta = duration - ss._mean
-        mean = ss._mean + delta / n
-        ss._mean = mean
-        ss._m2 += delta * (duration - mean)
-        if duration < ss._min:
-            ss._min = duration
-        if duration > ss._max:
-            ss._max = duration
-        executor.payload = head_payload
-        executor.duration = duration
-        if not duration >= 0.0:  # negative or NaN service time
-            raise SimulationError(
-                f"cannot schedule into the past: delay={duration}"
-            )
-        time = now + duration
-        seq = sim._seq
-        sim._seq = seq + 1
-        _heappush(sim._queue, (time, seq, self._kind_finish, op, executor))
-        if self._bp and op.full and op.queued < self._queue_limit:
-            op.full = False
-            self._bp_release(op)
+        if executor.queue:
+            self._begin_service(op, executor)
 
     def _on_tick(self, _a, _b) -> None:
         report = self._measurer.pull(self._sim.now)
@@ -1452,18 +1243,17 @@ class TopologyRuntime:
                 # load change pushes a fresh pair, the heap always holds
                 # each executor's current pair, so the first valid top is
                 # the scan's answer: minimum load, lowest index on ties.
-                heappop = heapq.heappop
                 while True:
                     load, index = jheap[0]
                     executor = executors[index]
                     if executor.load == load:
                         break
-                    heappop(jheap)
+                    _heappop(jheap)
                 executor.queue.append((payload, now))
                 op.queued += 1
                 load += 1
                 executor.load = load
-                heapq.heappush(jheap, (load, index))
+                _heappush(jheap, (load, index))
                 if len(jheap) > op.jsq_rebuild:
                     # Rare compaction: drop stale pairs (a sorted list of
                     # the current pairs is already a valid heap).
@@ -1498,7 +1288,7 @@ class TopologyRuntime:
         copies = len(indices)
         if copies > 1:
             # Replication (broadcast): each copy is an extra pending tuple.
-            self._tracker.add_pending(payload["root"], copies - 1)
+            self._add_pending(payload["root"], copies - 1)
         jheap = op.jsq_heap
         for index in indices:
             executor = executors[index]
@@ -1507,7 +1297,7 @@ class TopologyRuntime:
             if jheap is not None:
                 load = executor.load + 1
                 executor.load = load
-                heapq.heappush(jheap, (load, index))
+                _heappush(jheap, (load, index))
                 if len(jheap) > op.jsq_rebuild:
                     jheap[:] = sorted(
                         (ex.load, i) for i, ex in enumerate(executors)
@@ -1559,8 +1349,8 @@ class TopologyRuntime:
             duration = -_log(1.0 - srandom()) / op.service_rate
         else:
             duration = op.sample_service(op.service_rng)
-        if self._het:
-            duration /= executor.speed
+        # Off-platform every executor's speed is 1.0, and x / 1.0 == x.
+        duration /= executor.speed
         op.service_stats.add(duration)
         executor.payload = payload
         executor.duration = duration
@@ -1627,17 +1417,9 @@ class TopologyRuntime:
         if isinstance(waiter, _SpoutSource):
             # Emit the arrival that was deferred when the source
             # paused, then resume the arrival process from now.
-            source = waiter
-            root_id = self._root_counter
-            self._root_counter = root_id + 1
-            self._external_tuples += 1
-            tracker = self._tracker
-            tracker.register_root(root_id, now)
-            payload = {"root": root_id}
-            self._emit_tuples(source.routes, payload, root_id, now, True)
-            tracker.complete_one(root_id, now)
-            gap = source.next_gap(now, source.rng)
-            self._sim.schedule_event(gap, self._kind_spout, source)
+            self._emit_root(waiter.routes)
+            gap = waiter.next_gap(now, waiter.rng)
+            self._sim.schedule_event(gap, self._kind_spout, waiter)
         else:
             self._client_issue(waiter)
 

@@ -48,6 +48,7 @@ from repro.sim.array_runtime import array_capable
 from repro.sim.engine import Simulator
 from repro.sim.runtime import RuntimeOptions, TopologyRuntime
 from repro.topology.builder import TopologyBuilder
+from repro.topology.grouping import BroadcastGrouping
 from repro.workloads import (
     available_closed_loop_sources,
     create_closed_loop_source,
@@ -190,6 +191,59 @@ class TestInvariants:
             duration=30.0,
         )
         assert bounded.blocked_time >= 0.0
+
+
+class TestTreeBoundRelease:
+    """A tree dropped for exceeding the size bound frees its client."""
+
+    @staticmethod
+    def _broadcast_loop_runtime():
+        # a -> b broadcasts to every b executor and b -> a feeds back
+        # with gain 1.0, so each request's tree grows until the bound.
+        topology = (
+            TopologyBuilder("cl_broadcast_loop")
+            .add_spout("src", rate=1.0)
+            .add_operator("a", mu=50.0)
+            .add_operator("b", mu=50.0)
+            .connect("src", "a")
+            .connect("a", "b", grouping=BroadcastGrouping())
+            .connect("b", "a", gain=1.0)
+            .build()
+        )
+        source = create_closed_loop_source(
+            {"kind": "closed_loop", "clients": 1, "think_time": 0.5}
+        )
+        runtime = TopologyRuntime(
+            Simulator(),
+            topology,
+            Allocation(["a", "b"], [4, 4]),
+            RuntimeOptions(seed=3, closed_loop=source),
+        )
+        runtime._max_tree_size = 50
+        runtime.tracker._max_tree_size = 50
+        return runtime
+
+    def test_broadcast_overflow_releases_client(self):
+        runtime = self._broadcast_loop_runtime()
+        runtime.start()
+        runtime.simulator.run_until(50.0)
+        runtime.check_conservation()
+        # Every request's tree explodes and is dropped; the client keeps
+        # issuing instead of waiting forever on a dropped root.
+        tracker = runtime.tracker
+        assert tracker.completed == 0
+        assert tracker.dropped >= 3
+        assert tracker.dropped + tracker.in_flight == runtime.issued_requests
+        assert runtime.client_outstanding == (tracker.in_flight,)
+
+    def test_conservation_rejects_untracked_mapped_root(self):
+        runtime = self._broadcast_loop_runtime()
+        runtime.start()
+        runtime.simulator.run_until(0.6)
+        root, _ = runtime.tracker.oldest_in_flight()
+        runtime.tracker.drop_tree(root)
+        with pytest.raises(SimulationError, match="no longer tracked"):
+            runtime.check_conservation()
 
 
 # ----------------------------------------------------------------------
