@@ -985,8 +985,8 @@ class TopologyRuntime:
     # samples each route's copy count, grows the tuple tree and then,
     # per copy, either schedules the route's transfer delay (the hop
     # event delivers) or delivers at once.  ``_deliver`` is the only
-    # way into an executor queue and ``_begin_service`` the only place
-    # service starts.  The RNG draw order is fixed: fanout draw, then
+    # way a tuple enters an operator's queues and ``_begin_service``
+    # the only place service starts.  The RNG draw order is fixed: fanout draw, then
     # per-copy routing and service draws in copy order.  Any change
     # here must keep tests/test_golden_determinism.py green without
     # regenerating its fixtures.
@@ -1216,7 +1216,7 @@ class TopologyRuntime:
             op.held.append(payload)
             op.queued += 1
             return
-        now = self._sim.now
+        now = self._sim._now
         can_start = not self._bp or self._bp_can_serve(op)
         if op.shared:
             op.shared_queue.append((payload, now))
@@ -1550,7 +1550,7 @@ class TopologyRuntime:
     # ------------------------------------------------------------------
     def _on_tree_complete(self, root_id: int, arrival: float, sojourn: float) -> None:
         self._measurer.record_sojourn(sojourn)
-        self._completion_times.append(self._sim.now)
+        self._completion_times.append(self._sim._now)
         self._completion_sojourns.append(sojourn)
         if self._cl is not None:
             # Feed the admission controller's latency EWMA, then give

@@ -219,7 +219,6 @@ class TestTreeBoundRelease:
             Allocation(["a", "b"], [4, 4]),
             RuntimeOptions(seed=3, closed_loop=source),
         )
-        runtime._max_tree_size = 50
         runtime.tracker._max_tree_size = 50
         return runtime
 
