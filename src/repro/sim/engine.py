@@ -17,9 +17,8 @@ Two scheduling surfaces share one queue (and one tie-breaking sequence):
   ``(time, seq, kind, a, b)`` records; the loop dispatches by kind
   through the handler table.  No per-event closure, no handle object.
 
-The queue is a single binary heap.  Callers may push
-``(time, seq, ...)`` records into ``_queue`` directly — the topology
-runtime inlines exactly that.
+The queue is a single binary heap, and every record enters it through
+one of the scheduling methods above.
 
 Cancelled handles are counted and excluded from :attr:`pending_events`;
 when more than half of the queued entries are cancelled the heap is

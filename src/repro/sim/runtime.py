@@ -986,10 +986,10 @@ class TopologyRuntime:
     # per copy, either schedules the route's transfer delay (the hop
     # event delivers) or delivers at once.  ``_deliver`` is the only
     # way a tuple enters an operator's queues and ``_begin_service``
-    # the only place service starts.  The RNG draw order is fixed: fanout draw, then
-    # per-copy routing and service draws in copy order.  Any change
-    # here must keep tests/test_golden_determinism.py green without
-    # regenerating its fixtures.
+    # the only place service starts.  The RNG draw order is fixed:
+    # fanout draw, then per-copy routing and service draws in copy
+    # order.  Any change here must keep tests/test_golden_determinism.py
+    # green without regenerating its fixtures.
     # ------------------------------------------------------------------
     def _emit_tuples(self, routes, payload, root, external: bool) -> None:
         """Emit one processed tuple's downstream copies along ``routes``."""
