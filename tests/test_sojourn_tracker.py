@@ -73,13 +73,14 @@ class TestDropsAndLimits:
     def test_max_tree_size_guard(self):
         tracker = TupleTreeTracker(max_tree_size=10)
         tracker.register_root(1, 0.0)
-        tracker.add_pending(1, 20)
+        assert tracker.add_pending(1, 5) is False
+        assert tracker.add_pending(1, 20) is True
         assert tracker.dropped == 1
         assert tracker.in_flight == 0
 
     def test_add_pending_on_unknown_tree_ignored(self):
         tracker = TupleTreeTracker()
-        tracker.add_pending(42, 3)  # no-op, no exception
+        assert tracker.add_pending(42, 3) is False  # no-op, no exception
         assert tracker.in_flight == 0
 
 
