@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.campaigns.spec import CampaignCell, CampaignSpec
 from repro.campaigns.store import ResultStore, record_path
-from repro.scenarios.runner import replication_seed
 from repro.utils.math_helpers import percentile
 
 #: Two-sided 95% normal quantile for the confidence half-width.  With
@@ -170,10 +169,8 @@ def aggregate_cell_from_store(
     """Fold exactly the replications ``cell`` expects from ``store``."""
     aggregate = CellAggregate(cell.label)
     spec_hash = cell.spec_hash
-    for index in range(cell.spec.replications):
-        record = store.load_record(
-            spec_hash, replication_seed(cell.spec.seed, index)
-        )
+    for seed in cell.seeds:
+        record = store.load_record(spec_hash, seed)
         if record is not None:
             aggregate.fold(record["result"], path=record_path(record))
     return aggregate

@@ -45,7 +45,6 @@ from repro.scenarios.runner import (
     ReplicationResult,
     ScenarioRunner,
     ScenarioSummary,
-    replication_seed,
     run_replication,
     summarize_replications,
 )
@@ -259,8 +258,7 @@ class CampaignRunner:
                 analytic_cells += 1
             else:
                 simulated_cells += 1
-            for index in range(cell.spec.replications):
-                seed = replication_seed(cell.spec.seed, index)
+            for seed in cell.seeds:
                 keys[(spec_hash, seed)] = path
         cached = 0
         uncached_analytic = uncached_simulated = 0
@@ -338,8 +336,7 @@ class CampaignRunner:
         for cell in _simulation_cells(cells):
             spec_hash = cell.spec_hash
             path = _cell_path(decisions, spec_hash)
-            for index in range(cell.spec.replications):
-                seed = replication_seed(cell.spec.seed, index)
+            for index, seed in enumerate(cell.seeds):
                 key = (spec_hash, seed)
                 if key in cached or key in pending_keys:
                     continue
@@ -376,8 +373,7 @@ class CampaignRunner:
             merged: List[ReplicationResult] = []
             fresh = 0
             reused = 0
-            for index in range(cell.spec.replications):
-                seed = replication_seed(cell.spec.seed, index)
+            for index, seed in enumerate(cell.seeds):
                 key = (spec_hash, seed)
                 if key in computed:
                     fresh += 1

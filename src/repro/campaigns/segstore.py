@@ -6,7 +6,9 @@ for million-replication sweeps (millions of tiny files).  The
 :class:`SegmentedResultStore` keeps the same content-addressed keys but
 appends whole records as NDJSON lines to a handful of *segment* files
 (one per writer, so shard workers never contend on a file), with an
-in-memory index built by scanning the segments on open.
+in-memory index built by scanning the segments on open and extended by
+:meth:`SegmentedResultStore.refresh`, which parses only the bytes
+appended since the last scan.
 
 Crash safety is inherited from the append-only discipline: a record
 line is only indexed once it parses, so a write torn by a kill leaves a
@@ -53,48 +55,81 @@ class SegmentedResultStore(ResultStore):
         self._handle = None
         self._index: Dict[Tuple[str, int], Dict[str, Any]] = {}
         self._known_specs: set = set()
+        #: Segment path -> bytes already indexed (see :meth:`refresh`).
+        self._offsets: Dict[Path, int] = {}
         self.refresh()
 
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
     def refresh(self) -> int:
-        """Re-scan every segment; returns the number of indexed records.
+        """Index records appended since the last scan; returns the
+        number of indexed records.
 
-        Torn trailing lines (a writer killed mid-append) and malformed
-        lines are skipped, matching the classic store's contract that a
-        record either parses or does not exist.
+        Each segment is read from the byte offset the last scan stopped
+        at, and only complete lines are parsed: a trailing partial line
+        (a write in progress, or a writer killed mid-append) waits for
+        the next refresh.  A segment that shrank or vanished makes the
+        whole index rebuild from the start, into a new mapping that
+        replaces the old one only once complete.  Malformed and
+        undecodable lines are skipped, matching the classic store's
+        contract that a record either parses or does not exist.
         """
-        index: Dict[Tuple[str, int], Dict[str, Any]] = {}
+        sizes: Dict[Path, int] = {}
         for path in sorted(self._segment_dir.glob("*.ndjson")):
             try:
-                text = path.read_text()
+                sizes[path] = path.stat().st_size
             except OSError:
                 continue
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn or corrupt line
-                if (
-                    not isinstance(record, dict)
-                    or record.get("version") != RECORD_VERSION
-                    or "result" not in record
-                ):
-                    continue
-                spec_hash = record.get("spec_hash")
-                if record.get("kind") == "spec":
-                    self._known_specs.add(spec_hash)
-                    continue
-                try:
-                    seed = int(record["seed"])
-                except (KeyError, TypeError, ValueError):
-                    continue
-                index[(spec_hash, seed)] = record
-        self._index = index
+        index, offsets = self._index, self._offsets
+        if any(sizes.get(path, -1) < end for path, end in offsets.items()):
+            index, offsets = {}, {}
+        for path, size in sizes.items():
+            offset = offsets.get(path, 0)
+            if size > offset:
+                offsets[path] = offset + self._scan(path, offset, index)
+        self._index, self._offsets = index, offsets
         return len(index)
+
+    def _scan(
+        self,
+        path: Path,
+        offset: int,
+        index: Dict[Tuple[str, int], Dict[str, Any]],
+    ) -> int:
+        """Add the complete lines of ``path`` past ``offset`` to
+        ``index``; returns the bytes consumed (through the last
+        newline)."""
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                data = handle.read()
+        except OSError:
+            return 0
+        end = data.rfind(b"\n") + 1
+        for line in data[:end].splitlines():
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue  # torn, corrupt or undecodable line
+            if (
+                not isinstance(record, dict)
+                or record.get("version") != RECORD_VERSION
+                or "result" not in record
+            ):
+                continue
+            spec_hash = record.get("spec_hash")
+            if record.get("kind") == "spec":
+                self._known_specs.add(spec_hash)
+                continue
+            try:
+                seed = int(record["seed"])
+            except (KeyError, TypeError, ValueError):
+                continue
+            index[(spec_hash, seed)] = record
+        return end
 
     @property
     def segment_path(self) -> Path:

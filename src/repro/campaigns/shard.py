@@ -39,7 +39,7 @@ from repro.campaigns.runner import CampaignResult, CampaignRunner
 from repro.campaigns.segstore import SegmentedResultStore
 from repro.campaigns.spec import CampaignSpec
 from repro.exceptions import ConfigurationError
-from repro.scenarios.runner import replication_seed, run_replication
+from repro.scenarios.runner import run_replication
 from repro.scenarios.spec import ScenarioSpec
 
 #: Claim files live here, under the store root (shared by all workers).
@@ -175,8 +175,7 @@ class ShardedCampaignRunner:
                     f" answered analytically ({decision.reason})"
                 )
             path = decision.path if decision is not None else "simulated"
-            for index in range(cell.spec.replications):
-                seed = replication_seed(cell.spec.seed, index)
+            for index, seed in enumerate(cell.seeds):
                 if (spec_hash, seed) in seen:
                     continue
                 seen.add((spec_hash, seed))

@@ -40,6 +40,7 @@ from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
+from repro.scenarios.runner import replication_seed
 from repro.scenarios.spec import ScenarioSpec
 
 #: Scenario fields excluded from the content address: they rename or
@@ -274,6 +275,15 @@ class CampaignCell:
         # a full canonical-JSON serialization.
         return scenario_hash(self.spec)
 
+    @cached_property
+    def seeds(self) -> Tuple[int, ...]:
+        """The derived seed of each replication, in index order — with
+        :attr:`spec_hash`, the store keys this cell reads and writes."""
+        return tuple(
+            replication_seed(self.spec.seed, index)
+            for index in range(self.spec.replications)
+        )
+
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -339,8 +349,19 @@ class CampaignSpec:
 
         Expansion is deterministic: same spec, same cells, same order —
         the property that makes campaign runs resumable and their
-        summaries reproducible.
+        summaries reproducible.  The cells are computed once and kept
+        on this (frozen) instance, so every later call returns the same
+        cells with their hashes and seeds already derived;
+        ``dataclasses.replace`` builds a new instance that expands
+        afresh.
         """
+        cells = self.__dict__.get("_cells")
+        if cells is None:
+            cells = self._expand()
+            object.__setattr__(self, "_cells", cells)
+        return cells
+
+    def _expand(self) -> Tuple[CampaignCell, ...]:
         cells: List[CampaignCell] = []
         for index, combo in enumerate(
             itertools.product(*(axis.values for axis in self.axes))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
@@ -43,6 +44,9 @@ RECORD_VERSION = 1
 #: key and rehydrate as ``simulated`` (see :func:`record_path`).
 RECORD_PATHS = ("simulated", "analytic")
 
+#: A well-formed content hash: at least 8 lowercase hex digits.
+_HASH_RE = re.compile(r"[0-9a-f]{8,}")
+
 
 def record_path(record: Mapping[str, Any]) -> str:
     """The evaluation path of a stored record (``simulated`` default).
@@ -53,6 +57,11 @@ def record_path(record: Mapping[str, Any]) -> str:
     'simulated'
     """
     return str(record.get("path", RECORD_PATHS[0]))
+
+
+def _check_hash(spec_hash: str) -> None:
+    if not _HASH_RE.fullmatch(spec_hash):
+        raise ConfigurationError(f"malformed spec hash {spec_hash!r}")
 
 
 class ResultStore:
@@ -80,6 +89,10 @@ class ResultStore:
     def __init__(self, root: os.PathLike):
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
+        # Record reads build their path as a string: three ``Path``
+        # joins and a per-character hash check took about a sixth of
+        # a warm record read.
+        self._prefix = os.path.join(str(self._root), "")
 
     @property
     def root(self) -> Path:
@@ -89,10 +102,7 @@ class ResultStore:
     # paths
     # ------------------------------------------------------------------
     def _bucket(self, spec_hash: str) -> Path:
-        if len(spec_hash) < 8 or not all(
-            c in "0123456789abcdef" for c in spec_hash
-        ):
-            raise ConfigurationError(f"malformed spec hash {spec_hash!r}")
+        _check_hash(spec_hash)
         return self._root / spec_hash[:2] / spec_hash
 
     def record_path(self, spec_hash: str, seed: int) -> Path:
@@ -120,11 +130,19 @@ class ResultStore:
     def load_record(
         self, spec_hash: str, seed: int
     ) -> Optional[Dict[str, Any]]:
-        """The raw record mapping (metrics only — no re-hydration)."""
-        path = self.record_path(spec_hash, seed)
+        """The raw record mapping (metrics only — no re-hydration).
+
+        ``None`` when the record is absent, torn, undecodable or of
+        another schema version.
+        """
+        _check_hash(spec_hash)
+        path = f"{self._prefix}{spec_hash[:2]}/{spec_hash}/{int(seed)}.json"
         try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            with open(path, "rb") as handle:
+                record = json.loads(handle.read())
+        except (OSError, ValueError):
+            # ValueError covers torn JSON and bytes that decode as no
+            # text at all (UnicodeDecodeError).
             return None
         if (
             not isinstance(record, dict)

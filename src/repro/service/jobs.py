@@ -36,11 +36,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import api
+from repro.campaigns.aggregate import CampaignAggregator, aggregate_from_store
 from repro.campaigns.runner import CampaignResult
 from repro.campaigns.spec import CampaignSpec
-from repro.campaigns.store import ResultStore, record_path
+from repro.campaigns.store import ResultStore
 from repro.exceptions import CampaignCancelled, ConfigurationError, DRSError
-from repro.scenarios.runner import replication_seed
 
 #: Every state a job can be in.  ``queued`` and ``running`` are live;
 #: the rest are terminal (``cancelled`` jobs may be resubmitted, which
@@ -100,33 +100,28 @@ def job_progress(campaign: CampaignSpec, store: ResultStore) -> Dict[str, Any]:
     simulator or the analytic fast path — so a poll shows exactly how a
     hybrid campaign is progressing and what a resume would skip.
     """
+    return progress_from(aggregate_from_store(campaign, store))
+
+
+def progress_from(aggregator: CampaignAggregator) -> Dict[str, Any]:
+    """The :func:`job_progress` view of an aggregation already made, so
+    a request that needs both reads the store once."""
     cells: List[Dict[str, Any]] = []
     total = stored = 0
-    for cell in campaign.expand():
-        if cell.spec.kind != "simulation":
-            continue
-        simulated = analytic = 0
-        for index in range(cell.spec.replications):
-            seed = replication_seed(cell.spec.seed, index)
-            record = store.load_record(cell.spec_hash, seed)
-            if record is None:
-                continue
-            if record_path(record) == "analytic":
-                analytic += 1
-            else:
-                simulated += 1
-        replications = cell.spec.replications
+    for label, aggregate in aggregator.cells.items():
+        missing = aggregator.missing[label]
+        replications = aggregate.replications + missing
         cells.append(
             {
-                "cell": cell.label,
+                "cell": label,
                 "replications": replications,
-                "simulated": simulated,
-                "analytic": analytic,
-                "missing": replications - simulated - analytic,
+                "simulated": aggregate.simulated,
+                "analytic": aggregate.analytic,
+                "missing": missing,
             }
         )
         total += replications
-        stored += simulated + analytic
+        stored += aggregate.replications
     return {"total": total, "stored": stored, "cells": cells}
 
 
@@ -153,6 +148,23 @@ class JobRecord:
     #: interrupting the job) — decides cancelled-vs-requeued when the
     #: runner acknowledges.  In-memory only, like the event.
     user_cancelled: bool = field(default=False, repr=False, compare=False)
+    #: The parsed ``campaign``, held only while the job is live so the
+    #: run and every status, aggregates and stream request share one
+    #: expansion (cells, hashes, seeds).  In-memory only; the queue
+    #: drops it on the terminal transition, so a finished job holds no
+    #: parsed state (see :meth:`JobQueue.campaign_spec`).
+    spec: Optional[CampaignSpec] = field(default=None, repr=False, compare=False)
+    #: The ``campaign`` mapping ``spec`` was parsed from; once
+    #: ``campaign`` is replaced, the held spec is stale.
+    spec_source: Optional[Dict[str, Any]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def hold_spec(self, spec: Optional[CampaignSpec]) -> None:
+        """Hold ``spec`` as the parse of the current ``campaign``
+        (``None`` drops it)."""
+        self.spec = spec
+        self.spec_source = None if spec is None else self.campaign
 
     @property
     def name(self) -> str:
@@ -288,12 +300,25 @@ class JobQueue:
                 job.workers = workers
                 job.cancel_event = threading.Event()
                 job.user_cancelled = False
+            job.hold_spec(campaign)
             self._persist(job)
             return job, True
 
     def get(self, job_id: str) -> Optional[JobRecord]:
         with self._lock:
             return self._jobs.get(job_id)
+
+    def campaign_spec(self, job: JobRecord) -> CampaignSpec:
+        """``job``'s parsed campaign: the one it holds while live,
+        otherwise parsed afresh (and kept only if the job is live)."""
+        spec = job.spec
+        if spec is not None and job.spec_source is job.campaign:
+            return spec
+        spec = CampaignSpec.from_dict(job.campaign)
+        with self._lock:
+            if not job.terminal:
+                job.hold_spec(spec)
+        return spec
 
     def list(self) -> List[JobRecord]:
         with self._lock:
@@ -338,6 +363,7 @@ class JobQueue:
             job.finished_at = time.time()
             job.result = result
             job.error = error
+            job.hold_spec(None)
             self._persist(job)
 
     def requeue(self, job_id: str) -> None:
@@ -368,6 +394,7 @@ class JobQueue:
                 job.state = "cancelled"
                 job.finished_at = time.time()
                 job.error = "cancelled before starting"
+                job.hold_spec(None)
                 self._persist(job)
             return job
 
@@ -451,7 +478,7 @@ class JobExecutor:
 
     def _run(self, job: JobRecord) -> None:
         try:
-            campaign = CampaignSpec.from_dict(job.campaign)
+            campaign = self._queue.campaign_spec(job)
             store = api.open_store(
                 self._store_root, segment=f"job-{job.id[:12]}"
             )

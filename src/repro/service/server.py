@@ -34,6 +34,7 @@ service adds no runtime dependency to the package.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -41,7 +42,9 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import api
+from repro.campaigns.segstore import SEGMENT_DIR, SegmentedResultStore
 from repro.campaigns.spec import CampaignSpec
+from repro.campaigns.store import ResultStore
 from repro.exceptions import DRSError
 from repro.service.jobs import (
     TERMINAL_STATES,
@@ -49,6 +52,7 @@ from repro.service.jobs import (
     JobQueue,
     JobRecord,
     job_progress,
+    progress_from,
 )
 
 #: Subdirectory of the store root where job records persist.
@@ -117,6 +121,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
+    # Headers and body go out in two writes; with Nagle's algorithm on,
+    # the second waits for the client's delayed ACK (~40 ms per request
+    # on a keep-alive connection).
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; the service
     # keeps quiet unless asked (config lives on the server object).
@@ -294,6 +302,10 @@ class CampaignService:
         self._httpd.daemon_threads = True
         self._httpd.service = self  # type: ignore[attr-defined]
         self._thread = None
+        #: One segmented-store reader shared by every request (see
+        #: :meth:`_store`); ``None`` until the store has segments.
+        self._reader: Optional[SegmentedResultStore] = None
+        self._reader_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -312,8 +324,6 @@ class CampaignService:
 
     def start(self) -> None:
         """Serve on a background thread (tests, embedded use)."""
-        import threading
-
         self.executor.start()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
@@ -352,28 +362,43 @@ class CampaignService:
             self.executor.notify()
         return job, enqueued
 
-    def _store(self):
-        return api.open_store(Path(self.config.store))
+    def _store(self) -> ResultStore:
+        """The store a request reads, layout sniffed per request.
+
+        A per-file store costs nothing to open.  A segmented one keeps a
+        single reader whose index each request brings up to date by
+        parsing only the segment bytes appended since the last request.
+        """
+        root = Path(self.config.store)
+        if not (root / SEGMENT_DIR).is_dir():
+            return api.open_store(root)
+        with self._reader_lock:
+            if self._reader is None:
+                self._reader = SegmentedResultStore(root)
+            else:
+                self._reader.refresh()
+            return self._reader
 
     def job_status(self, job: JobRecord) -> Dict[str, Any]:
         """The job record plus live per-cell, per-path progress."""
         payload = job.to_dict()
-        campaign = CampaignSpec.from_dict(job.campaign)
+        campaign = self.queue.campaign_spec(job)
         payload["progress"] = job_progress(campaign, self._store())
         return payload
 
     def job_aggregates(self, job: JobRecord) -> Dict[str, Any]:
         """Incremental mean/CI/p95 aggregates from the shared store."""
-        campaign = CampaignSpec.from_dict(job.campaign)
+        campaign = self.queue.campaign_spec(job)
         return api.aggregate(campaign, self._store()).to_dict()
 
     def job_snapshot(self, job: JobRecord) -> Dict[str, Any]:
-        """One stream line: state + progress + current aggregates."""
-        campaign = CampaignSpec.from_dict(job.campaign)
-        store = self._store()
+        """One stream line: state + progress + current aggregates, from
+        one pass over the store."""
+        campaign = self.queue.campaign_spec(job)
+        aggregator = api.aggregate(campaign, self._store())
         return {
             "job": job.id,
             "state": job.state,
-            "progress": job_progress(campaign, store),
-            "aggregate": api.aggregate(campaign, store).to_dict(),
+            "progress": progress_from(aggregator),
+            "aggregate": aggregator.to_dict(),
         }

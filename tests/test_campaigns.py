@@ -1,6 +1,7 @@
 """Tests for the campaign layer: grid expansion, store, aggregation,
 resumable execution."""
 
+import dataclasses
 import json
 import statistics
 
@@ -101,6 +102,36 @@ class TestExpansion:
         assert first == second
         rebuilt = CampaignSpec.from_json(campaign.to_json())
         assert [c.spec.to_dict() for c in rebuilt.expand()] == first
+
+    def test_expand_returns_the_same_cells_again(self):
+        campaign = small_campaign()
+        cells = campaign.expand()
+        again = campaign.expand()
+        assert again is cells
+        assert [c.spec_hash for c in again] == [
+            scenario_hash(c.spec) for c in cells
+        ]
+
+    def test_replace_expands_afresh(self):
+        campaign = small_campaign()
+        cells = campaign.expand()
+        renamed = dataclasses.replace(campaign, name="other")
+        fresh = renamed.expand()
+        assert fresh is not cells
+        assert [c.spec.name for c in fresh] == [
+            "other-" + c.label for c in cells
+        ]
+        # Same simulation inputs under another name: same store keys.
+        assert [c.spec_hash for c in fresh] == [c.spec_hash for c in cells]
+
+    def test_cell_seeds_are_the_replication_seeds(self):
+        base = dict(BASE, replications=3)
+        for cell in small_campaign(base=base).expand():
+            assert cell.seeds == tuple(
+                replication_seed(cell.spec.seed, index)
+                for index in range(cell.spec.replications)
+            )
+            assert cell.seeds[0] == cell.spec.seed
 
     def test_cell_names_and_coords(self):
         cell = small_campaign().expand()[1]
@@ -291,6 +322,15 @@ class TestResultStore:
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         assert store.load(digest, 17) is None
 
+    def test_undecodable_record_treated_as_missing(self, tmp_path):
+        store = ResultStore(tmp_path)
+        spec = self.spec()
+        digest = scenario_hash(spec)
+        store.put(spec, digest, 17, make_result())
+        store.record_path(digest, 17).write_bytes(b"\xff\xfe")
+        assert store.load_record(digest, 17) is None
+        assert not store.has(digest, 17)
+
     def test_shape_corrupt_record_treated_as_missing(self, tmp_path):
         """Valid JSON with a gutted result payload must read as absent,
         not crash a resumed campaign."""
@@ -336,6 +376,9 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         with pytest.raises(ConfigurationError):
             store.record_path("../escape", 1)
+        for bad in ("../escape", "ABCDEF0123", "abc", "abcdef01\n"):
+            with pytest.raises(ConfigurationError):
+                store.load_record(bad, 1)
 
 
 class TestCampaignRunner:

@@ -13,7 +13,10 @@ Three layers, three contracts:
   validation errors come back as 400s, unknown jobs as 404s.
 """
 
+import http.client
 import json
+import statistics
+import sys
 import threading
 import time
 
@@ -21,9 +24,11 @@ import pytest
 
 from repro import api
 from repro.campaigns.runner import CampaignRunner
+from repro.campaigns.segstore import SegmentedResultStore
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
 from repro.exceptions import CampaignCancelled, ConfigurationError, DRSError
+from repro.scenarios.runner import run_replication
 from repro.service import (
     CampaignService,
     JobExecutor,
@@ -175,6 +180,29 @@ class TestJobQueue:
         with pytest.raises(ConfigurationError, match="not a terminal"):
             queue.finish(job.id, "running")
 
+    def test_only_live_jobs_hold_a_parsed_spec(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        campaign = spec()
+        job, _ = queue.submit(campaign)
+        assert job.spec is campaign
+        assert queue.campaign_spec(job) is campaign
+        queue.finish(job.id, "done", result={})
+        assert job.spec is None
+        assert queue.campaign_spec(job).to_dict() == campaign.to_dict()
+        assert job.spec is None  # a terminal job re-derives per request
+        queued, _ = queue.submit(spec("other"))
+        queue.cancel(queued.id)
+        assert queued.spec is None
+
+    def test_reloaded_live_job_parses_once(self, tmp_path):
+        JobQueue(tmp_path).submit(spec())
+        queue = JobQueue(tmp_path)
+        (job,) = queue.list()
+        assert job.spec is None  # never persisted
+        parsed = queue.campaign_spec(job)
+        assert job.spec is parsed
+        assert queue.campaign_spec(job) is parsed
+
     def test_torn_record_skipped(self, tmp_path):
         (tmp_path / "deadbeef.json").write_text("{not json")
         queue = JobQueue(tmp_path)
@@ -203,6 +231,11 @@ class TestExecutor:
         assert job.state == "done"
         assert job.result["computed"] == 4 and job.result["reused"] == 0
         assert {c["path"] for c in job.result["cells"]} == {"simulated"}
+
+    def test_finished_job_holds_no_parsed_spec(self, tmp_path):
+        _, job = self.run_executor(tmp_path, spec())
+        assert job.state == "done"
+        assert job.spec is None
 
     def test_resubmit_computes_nothing(self, tmp_path):
         self.run_executor(tmp_path, spec())
@@ -368,6 +401,68 @@ class TestHTTPSurface:
         assert second["result"]["computed"] == 0
         assert second["result"]["reused"] == 4
 
+    @pytest.mark.parametrize("layout", ["classic", "segmented"])
+    def test_warm_aggregates_match_api(self, service, tmp_path, layout):
+        root = tmp_path / "store"
+        campaign = spec("warm-layout")
+        if layout == "classic":
+            CampaignRunner(ResultStore(root), max_workers=1).run(campaign)
+        else:
+            with SegmentedResultStore(root, segment="fill") as store:
+                CampaignRunner(store, max_workers=1).run(campaign)
+        client = ServiceClient(service.url)
+        job = client.submit(campaign=campaign.to_dict())
+        final = client.wait(job["id"], timeout=120)
+        assert final["result"]["computed"] == 0
+        assert final["result"]["reused"] == 4
+        assert client.job(job["id"])["progress"]["stored"] == 4
+        assert client.aggregates(job["id"]) == api.aggregate(
+            campaign, root
+        ).to_dict()
+
+    def test_record_from_another_writer_shows_in_next_aggregates(
+        self, service, tmp_path
+    ):
+        root = tmp_path / "store"
+        campaign = spec("late-cmp")
+        writer = SegmentedResultStore(root, segment="other")
+        # With the workers stopped the job stays queued, so only the
+        # other writer adds records.
+        service.executor.shutdown()
+        client = ServiceClient(service.url)
+        job = client.submit(campaign=campaign.to_dict())
+        assert job["state"] == "queued"
+        before = client.aggregates(job["id"])
+        assert [row["replications"] for row in before["cells"]] == [0, 0]
+        cell = campaign.expand()[0]
+        writer.put(
+            cell.spec,
+            cell.spec_hash,
+            cell.seeds[0],
+            run_replication(cell.spec, 0),
+        )
+        writer.close()
+        after = client.aggregates(job["id"])
+        assert [row["replications"] for row in after["cells"]] == [1, 0]
+        assert after == api.aggregate(campaign, root).to_dict()
+        assert client.job(job["id"])["progress"]["stored"] == 1
+
+    def test_keep_alive_requests_do_not_stall(self, service):
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=10
+        )
+        walls = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                assert json.loads(response.read())["status"] == "ok"
+                walls.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(walls) < 0.020
+
     def test_invalid_submission_is_400(self, service):
         client = ServiceClient(service.url)
         with pytest.raises(ServiceError, match="unknown axis keys") as info:
@@ -410,3 +505,58 @@ class TestHTTPSurface:
             client.submit()
         with pytest.raises(ServiceError, match="exactly one"):
             client.submit(campaign={}, scenario={})
+
+
+class TestSharedReader:
+    def test_concurrent_requests_while_another_writer_appends(
+        self, service, tmp_path
+    ):
+        """Request threads share one segmented reader and one parsed
+        spec while another writer appends: no request fails, no
+        thread ever sees its record count shrink, and every thread ends
+        on all the records."""
+        root = tmp_path / "store"
+        campaign = spec("shared-cmp", replications=20)
+        writer = SegmentedResultStore(root, segment="other")
+        service.executor.shutdown()  # keep the job queued (live)
+        job, _ = service.submit(campaign)
+        keys = [(cell, seed) for cell in campaign.expand() for seed in cell.seeds]
+        result = run_replication(campaign.expand()[0].spec, 0)
+        written = threading.Event()
+        counts = {}
+        errors = []
+
+        def read(name):
+            seen = counts[name] = []
+            try:
+                while True:
+                    last = written.is_set()
+                    rows = service.job_aggregates(job)["cells"]
+                    seen.append(sum(row["replications"] for row in rows))
+                    if last:
+                        return
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=read, args=(i,)) for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for cell, seed in keys:
+                writer.put(cell.spec, cell.spec_hash, seed, result)
+            written.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            writer.close()
+        assert not errors
+        assert not any(thread.is_alive() for thread in threads)
+        for seen in counts.values():
+            assert seen == sorted(seen)
+            assert seen[-1] == len(keys)
+

@@ -2,9 +2,11 @@
 (segmented) result-store backend."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.campaigns import segstore
 from repro.campaigns.runner import (
     ESTIMATED_RECORD_BYTES,
     CampaignRunner,
@@ -125,6 +127,79 @@ class TestSegmentedStore:
         fresh = SegmentedResultStore(tmp_path, segment="w1")
         assert fresh.load(digest, 5) is not None  # intact line survives
         assert fresh.segment_record_count() == 1
+
+    def test_undecodable_line_skipped(self, tmp_path):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        store = SegmentedResultStore(tmp_path, segment="w0")
+        store.put(spec, digest, 5, make_result(seed=5))
+        store.close()
+        with open(store.segment_path, "ab") as handle:
+            handle.write(b"\xff\xfe\n")
+        store = SegmentedResultStore(tmp_path, segment="w0")
+        store.put(spec, digest, 6, make_result(seed=6))
+        store.close()
+        fresh = SegmentedResultStore(tmp_path, segment="w1")
+        assert fresh.load(digest, 5) is not None
+        assert fresh.load(digest, 6) is not None
+        assert fresh.segment_record_count() == 2
+
+    def test_refresh_parses_only_appended_lines(self, tmp_path, monkeypatch):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        writer = SegmentedResultStore(tmp_path, segment="w0")
+        writer.put(spec, digest, 5, make_result(seed=5))
+        reader = SegmentedResultStore(tmp_path, segment="w1")
+        parsed = []
+
+        def loads(line):
+            parsed.append(line)
+            return json.loads(line)
+
+        monkeypatch.setattr(
+            segstore, "json", SimpleNamespace(loads=loads, dumps=json.dumps)
+        )
+        assert reader.refresh() == 1
+        assert parsed == []  # no new bytes: nothing parsed
+        writer.put(spec, digest, 6, make_result(seed=6))
+        writer.close()
+        assert reader.refresh() == 2
+        assert len(parsed) == 1  # just the appended record line
+        assert reader.load(digest, 6) is not None
+
+    def test_partial_line_waits_for_next_refresh(self, tmp_path):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        elsewhere = SegmentedResultStore(tmp_path / "other", segment="w0")
+        elsewhere.put(spec, digest, 6, make_result(seed=6))
+        elsewhere.close()
+        line = elsewhere.segment_path.read_bytes().splitlines(True)[-1]
+        writer = SegmentedResultStore(tmp_path, segment="w0")
+        writer.put(spec, digest, 5, make_result(seed=5))
+        writer.close()
+        reader = SegmentedResultStore(tmp_path, segment="w1")
+        with open(writer.segment_path, "ab") as handle:
+            handle.write(line[:40])
+        assert reader.refresh() == 1  # the half line is not indexed...
+        with open(writer.segment_path, "ab") as handle:
+            handle.write(line[40:])
+        assert reader.refresh() == 2  # ...until its newline lands
+        assert reader.load(digest, 6) == make_result(seed=6)
+
+    def test_shrunk_segment_rebuilds_index(self, tmp_path):
+        spec = sample_spec()
+        digest = scenario_hash(spec)
+        writer = SegmentedResultStore(tmp_path, segment="w0")
+        writer.put(spec, digest, 5, make_result(seed=5))
+        writer.put(spec, digest, 6, make_result(seed=6))
+        writer.close()
+        reader = SegmentedResultStore(tmp_path, segment="w1")
+        assert reader.segment_record_count() == 2
+        lines = writer.segment_path.read_bytes().splitlines(True)
+        writer.segment_path.write_bytes(b"".join(lines[:2]))  # spec + seed 5
+        assert reader.refresh() == 1
+        assert reader.load(digest, 5) is not None
+        assert reader.load(digest, 6) is None
 
     def test_malformed_segment_name_rejected(self, tmp_path):
         with pytest.raises(ValueError):
