@@ -151,11 +151,11 @@ def open_store(
 ) -> ResultStore:
     """Open a result store, sniffing its on-disk layout.
 
-    Stores that have been compacted (or written by shard workers) carry
+    Stores that have been compacted (or written by sharded runs) carry
     a ``segments/`` directory and get the segment-aware reader;
     everything else gets the classic per-file store.  ``segment`` names
     this writer's NDJSON segment when the layout is segmented —
-    concurrent writers (service jobs, shard workers) must each pass a
+    concurrent writers (service jobs, sharded runs) must each pass a
     distinct name.  ``require=True`` raises :class:`StoreNotFoundError`
     instead of creating a missing directory — the contract of read-only
     callers like ``repro campaign-report``.
@@ -286,12 +286,13 @@ def run_campaign(
 ) -> CampaignResult:
     """Expand and execute a campaign grid, resumable against ``store``.
 
-    ``shards`` switches to the work-stealing multi-process executor
-    (requires a store; results land in per-worker segments).  Without
-    it, replications fan out over ``workers`` processes from this one.
-    ``evaluation`` overrides the spec's mode; ``evaluator`` injects a
-    pre-built analytic evaluator (otherwise hybrid/analytic modes build
-    one from ``manifest``/``safety_margin``).  ``cancel`` is an optional
+    Replications fan out over ``workers`` processes from this one.
+    ``shards`` does the same with ``shards`` processes but also needs a
+    store, which it writes in the segmented layout (a classic store is
+    reopened as one); give one of the two, not both.  ``evaluation``
+    overrides the spec's mode; ``evaluator`` injects a pre-built
+    analytic evaluator (otherwise hybrid/analytic modes build one from
+    ``manifest``/``safety_margin``).  ``cancel`` is an optional
     :class:`threading.Event`; setting it makes the runner persist all
     completed work and raise
     :class:`~repro.exceptions.CampaignCancelled` — the hook the job
@@ -301,26 +302,23 @@ def run_campaign(
         load_campaign(source), evaluation, evaluator, manifest, safety_margin
     )
     if shards is not None:
+        if workers is not None:
+            raise ConfigurationError(
+                f"give workers or shards, not both (workers={workers},"
+                f" shards={shards})"
+            )
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if store is None:
             raise ConfigurationError(
-                "sharded execution requires a store (per-worker segments)"
+                "sharded execution requires a store (segmented layout)"
             )
         from repro.campaigns.segstore import SegmentedResultStore
-        from repro.campaigns.shard import ShardedCampaignRunner
 
-        if isinstance(store, SegmentedResultStore):
-            seg_store = store
-        elif isinstance(store, ResultStore):
-            seg_store = SegmentedResultStore(
-                store.root, segment="coordinator"
-            )
-        else:
-            seg_store = SegmentedResultStore(store, segment="coordinator")
-        return ShardedCampaignRunner(
-            seg_store, shards=shards, evaluator=evaluator
-        ).run(campaign)
+        if not isinstance(store, SegmentedResultStore):
+            root = store.root if isinstance(store, ResultStore) else store
+            store = SegmentedResultStore(root, segment="coordinator")
+        workers = shards
     runner = CampaignRunner(
         _as_store(store),
         max_workers=workers,

@@ -19,7 +19,6 @@ from repro.campaigns.runner import (
     CampaignRunner,
 )
 from repro.campaigns.segstore import SegmentedResultStore, compact_store
-from repro.campaigns.shard import ShardedCampaignRunner
 from repro.campaigns.spec import (
     AxisPoint,
     CampaignAxis,
@@ -42,7 +41,6 @@ __all__ = [
     "CellAggregate",
     "ResultStore",
     "SegmentedResultStore",
-    "ShardedCampaignRunner",
     "compact_store",
     "scenario_hash",
 ]

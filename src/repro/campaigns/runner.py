@@ -4,10 +4,10 @@ The runner plans one *job* per ``(cell, replication index)`` pair and
 asks the store (when one is attached) which jobs already have results.
 Remaining jobs are deduplicated by ``(spec hash, seed)`` — two grid
 cells that expand to identical simulation inputs share one computation
-— and distributed over a :class:`ProcessPoolExecutor`.  Every result is
-written to the store *the moment it completes* (atomically), so killing
-a campaign mid-run loses at most the replications in flight; a resumed
-run recomputes only those.
+— and run in this process (one worker) or over the process pool in
+:mod:`repro.campaigns.shard`.  Every result is written to the store
+*the moment it completes*, so killing a campaign mid-run loses at most
+the replications in flight; a resumed run recomputes only those.
 
 Evaluation modes (:attr:`CampaignSpec.evaluation`): ``simulate`` (the
 default) computes every job with the discrete-event engine, exactly as
@@ -28,10 +28,10 @@ campaign's merged summaries — the property the equivalence tests pin.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.campaigns import shard
 from repro.campaigns.hybrid import (
     AnalyticCellEvaluator,
     AnalyticDecision,
@@ -48,23 +48,12 @@ from repro.scenarios.runner import (
     run_replication,
     summarize_replications,
 )
-from repro.scenarios.spec import ScenarioSpec
-
-#: One unit of simulation work: (spec hash, derived seed) plus the spec
-#: and replication index that produce it.
-_Job = Tuple[str, int, ScenarioSpec, int]
-
-
-def _run_job(job: _Job) -> ReplicationResult:
-    _, _, spec, index = job
-    return run_replication(spec, index)
-
 
 #: Rough serialized size of one stored replication record in the
 #: classic one-file-per-replication layout.  Observed classic records
 #: run 2–6 KiB depending on topology width and timeline length; the
 #: estimate is for sanity-checking a sweep's disk cost before launching
-#: shards, not for accounting.
+#: it, not for accounting.
 ESTIMATED_RECORD_BYTES = 4096
 
 #: Per-record estimate for the segmented NDJSON layout when the store
@@ -193,10 +182,11 @@ class CampaignRunner:
     """Runs campaigns, optionally against a resumable result store.
 
     Without a store every replication is computed fresh — exactly what
-    :class:`~repro.scenarios.runner.ScenarioRunner.run_many` would do
-    for the expanded specs.  With a store, completed replications are
+    :meth:`~repro.scenarios.runner.ScenarioRunner.run` would give for
+    each expanded spec.  With a store, completed replications are
     loaded instead of recomputed and fresh ones are persisted as they
-    finish.
+    finish.  ``max_workers`` sizes the process pool (default: every
+    core); one worker runs the jobs in this process.
 
     ``evaluator`` injects a configured
     :class:`~repro.campaigns.hybrid.AnalyticCellEvaluator` for
@@ -330,8 +320,8 @@ class CampaignRunner:
         evaluator = resolve_evaluator(campaign.evaluation, self._evaluator)
         decisions = self._decide_cells(campaign, cells, evaluator)
         cached: Dict[Tuple[str, int], ReplicationResult] = {}
-        sim_jobs: List[_Job] = []
-        analytic_jobs: List[_Job] = []
+        sim_jobs: List[shard.Job] = []
+        analytic_jobs: List[shard.Job] = []
         pending_keys = set()
         for cell in _simulation_cells(cells):
             spec_hash = cell.spec_hash
@@ -456,15 +446,15 @@ class CampaignRunner:
         self,
         campaign: CampaignSpec,
         cells: Sequence[CampaignCell],
-        jobs: Sequence[_Job],
+        jobs: Sequence[shard.Job],
         evaluator: Optional[AnalyticCellEvaluator],
         decisions: Dict[str, AnalyticDecision],
     ) -> Dict[Tuple[str, int], ReplicationResult]:
         """Answer the analytic-path jobs inline, with provenance.
 
         Runs in the coordinating process — each answer is a handful of
-        cached float operations, so no pool (or shard worker) should
-        ever see these jobs.
+        cached float operations, so no pool worker should ever see
+        these jobs.
         """
         computed: Dict[Tuple[str, int], ReplicationResult] = {}
         if not jobs:
@@ -492,14 +482,14 @@ class CampaignRunner:
         self,
         campaign: CampaignSpec,
         cells: Sequence[CampaignCell],
-        jobs: Sequence[_Job],
+        jobs: Sequence[shard.Job],
     ) -> Dict[Tuple[str, int], ReplicationResult]:
         if not jobs:
             return {}
         label_by_hash = {c.spec_hash: c.label for c in cells}
         computed: Dict[Tuple[str, int], ReplicationResult] = {}
 
-        def persist(job: _Job, result: ReplicationResult) -> None:
+        def persist(job: shard.Job, result: ReplicationResult) -> None:
             spec_hash, seed, spec, _ = job
             computed[(spec_hash, seed)] = result
             if self._store is not None:
@@ -517,30 +507,12 @@ class CampaignRunner:
         if workers <= 1:
             for job in jobs:
                 self._check_cancelled(campaign)
-                persist(job, _run_job(job))
-            return computed
-        # submit/wait rather than map: each result is persisted the
-        # moment it completes, so an interrupt loses only in-flight
-        # replications instead of a whole ordered prefix.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_job, job): job for job in jobs}
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    persist(futures[future], future.result())
-                if (
-                    pending
-                    and self._cancel is not None
-                    and self._cancel.is_set()
-                ):
-                    # Completed results above are already persisted;
-                    # unstarted jobs are withdrawn and in-flight ones
-                    # finish but are discarded — the store keeps
-                    # exactly the work that completed.
-                    for future in pending:
-                        future.cancel()
-                    self._check_cancelled(campaign)
+                _, _, spec, index = job
+                persist(job, run_replication(spec, index))
+        else:
+            self._check_cancelled(campaign)
+            if not shard.run_pool(jobs, workers, persist, self._cancel):
+                self._check_cancelled(campaign)
         return computed
 
 

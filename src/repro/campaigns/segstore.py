@@ -5,7 +5,7 @@ file per replication — perfect for atomic single-writer resume, fatal
 for million-replication sweeps (millions of tiny files).  The
 :class:`SegmentedResultStore` keeps the same content-addressed keys but
 appends whole records as NDJSON lines to a handful of *segment* files
-(one per writer, so shard workers never contend on a file), with an
+(one per writer, so concurrent writers never contend on a file), with an
 in-memory index built by scanning the segments on open and extended by
 :meth:`SegmentedResultStore.refresh`, which parses only the bytes
 appended since the last scan.
@@ -39,8 +39,8 @@ SEGMENT_DIR = "segments"
 class SegmentedResultStore(ResultStore):
     """Result store writing to one append-only NDJSON segment.
 
-    ``segment`` names this writer's segment file (shard workers pass
-    their shard id); concurrent writers using distinct segment names
+    ``segment`` names this writer's segment file (service jobs pass
+    their job id); concurrent writers using distinct segment names
     never contend.  All segments — plus the classic per-file layout —
     are visible to reads.
     """

@@ -338,6 +338,21 @@ class CampaignSpec:
         names = [a.name for a in axes]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate axis names: {names}")
+        # Reports and aggregates key cells by label, so two cells whose
+        # point labels join to the same string would merge.
+        seen: Dict[str, Tuple[AxisPoint, ...]] = {}
+        for combo in itertools.product(*(axis.values for axis in axes)):
+            label = "-".join([point.label for point in combo])
+            first = seen.setdefault(label, combo)
+            if first is not combo:
+                a, b = (
+                    {axis.name: p.label for axis, p in zip(axes, points)}
+                    for points in (first, combo)
+                )
+                raise ConfigurationError(
+                    f"campaign {self.name!r}: cells {a} and {b} share the"
+                    f" label {label!r}"
+                )
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "base", dict(self.base))
 

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import api
-from repro.exceptions import DRSError
+from repro.exceptions import ConfigurationError, DRSError
 from repro.experiments import baselines, fig6, fig7, fig8, fig9, fig10, report, table2
 from repro.fidelity import GRIDS, ToleranceManifest, generate_manifest, run_audit
 from repro.fidelity.report import render_audit
@@ -135,8 +135,13 @@ def _run_scenario(args) -> str:
 
 def _run_campaign(args) -> str:
     if args.shards is not None:
+        if args.workers is not None:
+            raise ConfigurationError(
+                f"give --workers or --shards, not both (--workers"
+                f" {args.workers}, --shards {args.shards})"
+            )
         if not args.store:
-            raise SystemExit("--shards requires --store (per-worker segments)")
+            raise SystemExit("--shards requires --store (segmented layout)")
         if args.shards < 1:
             raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     campaign = api.load_campaign(args.spec)
@@ -453,9 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
             " paths like arrival_model.burst_ratio) and execute every"
             " cell.  With --store, completed replications are"
             " content-addressed and reused, so an interrupted sweep"
-            " resumes losing only in-flight work.  With --shards N the"
-            " work-stealing executor races N processes over the grid"
-            " (results land in per-worker segments; see `repro"
+            " resumes losing only in-flight work.  With --shards N,"
+            " N worker processes write a segmented store (see `repro"
             " store-compact` to migrate an older per-file store)."
             "  With --evaluation hybrid, cells inside the committed"
             " tolerance envelope are answered from the queueing model"
@@ -492,9 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="run through the work-stealing sharded executor with this"
-        " many worker processes (requires --store; results land in"
-        " compacted per-worker segments)",
+        help="run this many worker processes writing a segmented store"
+        " (requires --store; not with --workers)",
     )
     pc.add_argument(
         "--evaluation",

@@ -467,28 +467,6 @@ class ScenarioRunner:
         jobs = [(spec, index) for index in range(spec.replications)]
         return self._summarize(spec, self._execute(jobs))
 
-    def run_many(self, specs: Sequence[ScenarioSpec]) -> List[ScenarioSummary]:
-        """Execute several specs, sharing one worker pool across all of
-        their replications (a fig6-style panel is six specs; running
-        them jointly keeps every core busy)."""
-        overhead = [s for s in specs if s.kind == "overhead"]
-        if overhead:
-            raise ConfigurationError(
-                "run_many only batches simulation scenarios; run overhead"
-                " specs individually"
-            )
-        jobs: List[Tuple[ScenarioSpec, int]] = []
-        for spec in specs:
-            jobs.extend((spec, index) for index in range(spec.replications))
-        results = self._execute(jobs)
-        summaries: List[ScenarioSummary] = []
-        cursor = 0
-        for spec in specs:
-            chunk = results[cursor : cursor + spec.replications]
-            cursor += spec.replications
-            summaries.append(self._summarize(spec, chunk))
-        return summaries
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------

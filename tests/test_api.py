@@ -180,6 +180,19 @@ class TestExecution:
         with pytest.raises(ConfigurationError, match="shards must be >= 1"):
             api.run_campaign(campaign_dict(), store=tmp_path, shards=0)
 
+    def test_workers_and_shards_exclusive(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(ConfigurationError, match="workers=2, shards=3"):
+            api.run_campaign(
+                campaign_dict(), store=tmp_path, workers=2, shards=3
+            )
+        path = tmp_path / "cmp.json"
+        path.write_text(json.dumps(campaign_dict()))
+        argv = ["run-campaign", str(path), "--store", str(tmp_path / "s")]
+        assert main(argv + ["--workers", "2", "--shards", "3"]) == 2
+        assert "--workers 2, --shards 3" in capsys.readouterr().err
+
     def test_aggregate_requires_existing_store(self, tmp_path):
         with pytest.raises(
             api.StoreNotFoundError, match="result store not found"

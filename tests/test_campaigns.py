@@ -226,6 +226,22 @@ class TestSpecValidation:
                 {"name": "a", "field": "seed", "values": [1, 1]}
             )
 
+    def test_colliding_cell_labels_rejected(self):
+        # '1-2'+'3' and '1'+'2-3' both join to '1-2-3': reports key
+        # cells by label, so the two would merge into one row.
+        axes = [
+            {"name": "a", "field": "seed", "values": [
+                {"label": "1-2", "value": 1}, {"label": "1", "value": 2}]},
+            {"name": "b", "field": "duration", "values": [
+                {"label": "3", "value": 30.0}, {"label": "2-3", "value": 40.0}]},
+        ]
+        with pytest.raises(ConfigurationError) as info:
+            small_campaign(axes=axes)
+        message = str(info.value)
+        assert "'1-2-3'" in message
+        assert "{'a': '1-2', 'b': '3'}" in message
+        assert "{'a': '1', 'b': '2-3'}" in message
+
     def test_bad_cell_reports_campaign_and_label(self):
         campaign = small_campaign(
             axes=[{"name": "duration", "field": "duration", "values": [-5.0]}]
@@ -386,9 +402,9 @@ class TestCampaignRunner:
         campaign = small_campaign()
         cells = campaign.expand()
         via_campaign = CampaignRunner(max_workers=1).run(campaign)
-        via_scenarios = ScenarioRunner(max_workers=1).run_many(
-            [c.spec for c in cells]
-        )
+        via_scenarios = [
+            ScenarioRunner(max_workers=1).run(c.spec) for c in cells
+        ]
         assert [s.to_json() for s in via_campaign.summaries] == [
             s.to_json() for s in via_scenarios
         ]

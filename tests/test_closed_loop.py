@@ -493,15 +493,12 @@ class TestCampaignResume:
         assert len(second.cells) == 2
 
     def test_sharded_runner_over_closed_loop_cells(self, tmp_path):
-        from repro.campaigns.segstore import SegmentedResultStore
-        from repro.campaigns.shard import ShardedCampaignRunner
+        from repro import api
 
         spec = CampaignSpec.from_dict(_closed_loop_campaign("cl-shard"))
-        store = SegmentedResultStore(tmp_path, segment="coordinator")
-        runner = ShardedCampaignRunner(store, shards=2)
-        first = runner.run(spec)
+        first = api.run_campaign(spec, store=tmp_path, shards=2)
         assert first.computed == 4 and first.reused == 0
-        second = runner.run(spec)
+        second = api.run_campaign(spec, store=tmp_path, shards=2)
         assert second.computed == 0 and second.reused == 4
 
     def test_http_service_runs_closed_loop_campaign(self, tmp_path):

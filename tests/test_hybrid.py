@@ -5,16 +5,17 @@ structural and envelope gates of :class:`AnalyticCellEvaluator`,
 tolerance-edge and override-group admission, safety-margin
 monotonicity, store provenance round-trips (both layouts, plus
 pre-provenance rehydration), resume semantics across evaluation modes,
-the layout-aware plan estimates, sharded coordination, and the
+the layout-aware plan estimates, sharded runs, and the
 hybrid-vs-simulated agreement the tolerance manifest promises.
 """
 
 import dataclasses
-import json
 import math
 
 import pytest
 
+from repro import api
+from repro.campaigns import shard
 from repro.campaigns.hybrid import (
     DEFAULT_MAX_REL_ERROR,
     GATED_METRICS,
@@ -29,7 +30,6 @@ from repro.campaigns.runner import (
     CampaignRunner,
 )
 from repro.campaigns.segstore import SegmentedResultStore
-from repro.campaigns.shard import ShardedCampaignRunner
 from repro.campaigns.spec import EVALUATION_MODES, CampaignSpec, scenario_hash
 from repro.campaigns.store import RECORD_PATHS, ResultStore, record_path
 from repro.exceptions import ConfigurationError
@@ -466,53 +466,55 @@ class TestHybridRunner:
 
 
 # ---------------------------------------------------------------------------
-# sharded coordination
+# sharded runs
 # ---------------------------------------------------------------------------
 
 
 class TestShardedHybrid:
-    def test_analytic_cells_answered_in_coordinator(self, tmp_path):
+    def test_analytic_cells_answered_in_coordinator(
+        self, tmp_path, monkeypatch
+    ):
         campaign = _mixed_campaign()
-        store = SegmentedResultStore(tmp_path, segment="coordinator")
-        evaluator = AnalyticCellEvaluator(_manifest())
-        result = ShardedCampaignRunner(
-            store, shards=2, evaluator=evaluator
-        ).run(campaign)
+        handed = []
+        run_pool = shard.run_pool
+
+        def recording(jobs, *args):
+            handed.extend((spec_hash, seed) for spec_hash, seed, _, _ in jobs)
+            return run_pool(jobs, *args)
+
+        monkeypatch.setattr(shard, "run_pool", recording)
+        result = api.run_campaign(
+            campaign,
+            store=tmp_path,
+            shards=2,
+            evaluator=AnalyticCellEvaluator(_manifest()),
+        )
         assert result.analytic == 2
         assert result.computed == 4
         assert result.reused == 0
-        # Analytic records live in the coordinator's segment only —
-        # workers never saw those jobs.
-        coordinator = (tmp_path / "segments" / "coordinator.ndjson").read_text()
-        analytic_lines = [
-            json.loads(line)
-            for line in coordinator.splitlines()
-            if line.strip() and json.loads(line).get("path") == "analytic"
-        ]
-        assert len(analytic_lines) == 2
-        for path in (tmp_path / "segments").glob("shard-*.ndjson"):
-            for line in path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if record.get("kind") == "spec":
-                    continue
-                assert record_path(record) == "simulated"
+        # The pool got exactly the simulated cell's jobs; the analytic
+        # ones were answered in the calling process.
+        analytic, simulated = campaign.expand()
+        assert sorted(handed) == sorted(
+            (simulated.spec_hash, seed) for seed in simulated.seeds
+        )
+        store = SegmentedResultStore(tmp_path)
+        for cell, expected in ((analytic, "analytic"), (simulated, "simulated")):
+            for seed in cell.seeds:
+                record = store.load_record(cell.spec_hash, seed)
+                assert record_path(record) == expected
 
     def test_sharded_resume_recomputes_nothing(self, tmp_path):
         campaign = _mixed_campaign()
-        store = SegmentedResultStore(tmp_path, segment="coordinator")
-        evaluator = AnalyticCellEvaluator(_manifest())
-        ShardedCampaignRunner(store, shards=2, evaluator=evaluator).run(
-            campaign
-        )
-        again = ShardedCampaignRunner(
-            SegmentedResultStore(tmp_path, segment="coordinator"),
-            shards=2,
-            evaluator=AnalyticCellEvaluator(_manifest()),
-        ).run(campaign)
-        assert again.computed == 0
-        assert again.reused == 4
+        for expected_computed in (4, 0):
+            result = api.run_campaign(
+                campaign,
+                store=tmp_path,
+                shards=2,
+                evaluator=AnalyticCellEvaluator(_manifest()),
+            )
+            assert result.computed == expected_computed
+        assert result.reused == 4
 
 
 # ---------------------------------------------------------------------------

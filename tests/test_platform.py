@@ -24,10 +24,9 @@ import sys
 
 import pytest
 
+from repro import api
 from repro.campaigns.hybrid import AnalyticCellEvaluator
 from repro.campaigns.runner import CampaignRunner
-from repro.campaigns.segstore import SegmentedResultStore
-from repro.campaigns.shard import ShardedCampaignRunner
 from repro.campaigns.spec import CampaignSpec, scenario_hash
 from repro.campaigns.store import ResultStore
 from repro.exceptions import (
@@ -744,10 +743,9 @@ class TestPlatformCampaigns:
         """A killed-and-restarted sharded run of churn cells resumes
         from the store: the second run computes zero replications."""
         campaign = _churn_campaign("churn-shard")
-        store = SegmentedResultStore(tmp_path, segment="coordinator")
-        first = ShardedCampaignRunner(store, shards=2).run(campaign)
+        first = api.run_campaign(campaign, store=tmp_path, shards=2)
         assert first.computed == 2 and first.reused == 0
-        second = ShardedCampaignRunner(store, shards=2).run(campaign)
+        second = api.run_campaign(campaign, store=tmp_path, shards=2)
         assert second.computed == 0 and second.reused == 2
 
 

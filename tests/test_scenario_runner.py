@@ -62,13 +62,6 @@ class TestDeterminism:
         runner = ScenarioRunner(max_workers=2)
         assert runner.run(spec).to_json() == runner.run(spec).to_json()
 
-    def test_run_many_matches_individual_runs(self):
-        specs = [smoke_spec(), smoke_spec(name="runner-smoke-2", seed=23)]
-        runner = ScenarioRunner(max_workers=4)
-        joint = runner.run_many(specs)
-        solo = [ScenarioRunner(max_workers=1).run(s) for s in specs]
-        assert [s.to_json() for s in joint] == [s.to_json() for s in solo]
-
 
 class TestMerging:
     @pytest.fixture(scope="class")
@@ -189,12 +182,6 @@ class TestOverheadKind:
         rows = summary.extra["overhead_rows"]
         assert [r["kmax"] for r in rows] == [12, 48]
         assert all(r["scheduling_ms"] > 0 for r in rows)
-
-    def test_run_many_rejects_overhead(self):
-        from repro.experiments import table2
-
-        with pytest.raises(ConfigurationError, match="overhead"):
-            ScenarioRunner().run_many([table2.spec()])
 
 
 class TestRunnerValidation:

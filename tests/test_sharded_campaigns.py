@@ -2,20 +2,21 @@
 (segmented) result-store backend."""
 
 import json
+import threading
 from types import SimpleNamespace
 
 import pytest
 
+from repro import api
 from repro.campaigns import segstore
 from repro.campaigns.runner import (
     ESTIMATED_RECORD_BYTES,
     CampaignRunner,
 )
 from repro.campaigns.segstore import SegmentedResultStore, compact_store
-from repro.campaigns.shard import CLAIMS_DIR, ShardedCampaignRunner
 from repro.campaigns.spec import CampaignSpec, scenario_hash
 from repro.campaigns.store import ResultStore
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CampaignCancelled
 from repro.experiments import report
 from repro.scenarios.runner import AppliedAction, ReplicationResult
 from repro.scenarios.spec import ScenarioSpec
@@ -50,6 +51,19 @@ def small_campaign(**overrides) -> CampaignSpec:
     }
     raw.update(overrides)
     return CampaignSpec.from_dict(raw)
+
+
+def half_campaign() -> CampaignSpec:
+    """The first cell of :func:`small_campaign`, under the same name."""
+    return small_campaign(
+        axes=[
+            {
+                "name": "alloc",
+                "field": "initial_allocation",
+                "values": ["8:8:8"],
+            },
+        ]
+    )
 
 
 def make_result(index=0, seed=17, mean=1.0) -> ReplicationResult:
@@ -257,22 +271,15 @@ class TestCompactStore:
 
 
 class TestShardedRunner:
-    def test_requires_segmented_store(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ShardedCampaignRunner(ResultStore(tmp_path), shards=2)
-        with pytest.raises(ConfigurationError):
-            ShardedCampaignRunner(
-                SegmentedResultStore(tmp_path), shards=0
-            )
+    """``api.run_campaign(..., shards=N)``: N worker processes writing a
+    segmented store."""
 
     def test_full_run_then_resume_computes_zero(self, tmp_path):
         campaign = small_campaign()
-        store = SegmentedResultStore(tmp_path, segment="coordinator")
-        runner = ShardedCampaignRunner(store, shards=2)
-        first = runner.run(campaign)
+        first = api.run_campaign(campaign, store=tmp_path, shards=2)
         assert first.computed == 4
         assert first.reused == 0
-        second = runner.run(campaign)
+        second = api.run_campaign(campaign, store=tmp_path, shards=2)
         assert second.computed == 0
         assert second.reused == 4
         # Both runs merged to identical per-cell summaries.
@@ -282,10 +289,9 @@ class TestShardedRunner:
 
     def test_sharded_matches_unsharded(self, tmp_path):
         campaign = small_campaign()
-        sharded_store = SegmentedResultStore(
-            tmp_path / "sharded", segment="coordinator"
+        sharded = api.run_campaign(
+            campaign, store=tmp_path / "sharded", shards=2
         )
-        sharded = ShardedCampaignRunner(sharded_store, shards=2).run(campaign)
         plain = CampaignRunner(ResultStore(tmp_path / "plain")).run(campaign)
         assert [c.summary.to_dict() for c in sharded.cells] == [
             c.summary.to_dict() for c in plain.cells
@@ -293,38 +299,50 @@ class TestShardedRunner:
 
     def test_interrupted_run_resumes_only_missing(self, tmp_path):
         # Simulate an interrupt: a prior run landed half the results
-        # (one cell of two) before dying, leaving stale claim files.
-        campaign = small_campaign()
-        half = CampaignSpec.from_dict(
-            {
-                "name": "camp",
-                "base": dict(BASE),
-                "axes": [
-                    {
-                        "name": "alloc",
-                        "field": "initial_allocation",
-                        "values": ["8:8:8"],
-                    },
-                ],
-            }
-        )
-        store = SegmentedResultStore(tmp_path, segment="coordinator")
-        ShardedCampaignRunner(store, shards=2).run(half)
-        claims = tmp_path / CLAIMS_DIR
-        (claims / "stale_claim_from_dead_run").write_text("999")
-        result = ShardedCampaignRunner(store, shards=2).run(campaign)
-        # Only the missing cell's replications were computed; the stale
-        # claim neither blocked nor duplicated work.
+        # (one cell of two) before dying.
+        api.run_campaign(half_campaign(), store=tmp_path, shards=2)
+        result = api.run_campaign(small_campaign(), store=tmp_path, shards=2)
         assert result.computed == 2
         assert result.reused == 2
-        assert not (claims / "stale_claim_from_dead_run").exists()
 
-    def test_claims_match_executed_jobs(self, tmp_path):
-        campaign = small_campaign()
-        store = SegmentedResultStore(tmp_path, segment="coordinator")
-        result = ShardedCampaignRunner(store, shards=2).run(campaign)
-        claims = list((tmp_path / CLAIMS_DIR).iterdir())
-        assert len(claims) == result.computed == 4
+    def test_cancel_is_honoured_and_run_resumes(self, tmp_path):
+        api.run_campaign(half_campaign(), store=tmp_path, shards=2)
+        cancel = threading.Event()
+        cancel.set()
+        with pytest.raises(CampaignCancelled):
+            api.run_campaign(
+                small_campaign(), store=tmp_path, shards=2, cancel=cancel
+            )
+        result = api.run_campaign(small_campaign(), store=tmp_path, shards=2)
+        assert result.computed == 2
+        assert result.reused == 2
+
+    def test_identical_cells_store_equal_records(self, tmp_path):
+        # Two cells with identical inputs share one content address;
+        # serial and sharded runs must persist the same record for it.
+        campaign = small_campaign(
+            axes=[
+                {
+                    "name": "alloc",
+                    "field": "initial_allocation",
+                    "values": [
+                        {"label": "first", "value": "8:8:8"},
+                        {"label": "second", "value": "8:8:8"},
+                    ],
+                }
+            ]
+        )
+        cells = campaign.expand()
+        assert cells[0].spec_hash == cells[1].spec_hash
+        serial = api.run_campaign(campaign, store=tmp_path / "a", workers=1)
+        sharded = api.run_campaign(campaign, store=tmp_path / "b", shards=2)
+        assert serial.computed == sharded.computed == 2
+        a = api.open_store(tmp_path / "a")
+        b = api.open_store(tmp_path / "b")
+        for seed in cells[0].seeds:
+            record = a.load_record(cells[0].spec_hash, seed)
+            assert record is not None
+            assert record == b.load_record(cells[0].spec_hash, seed)
 
 
 class TestPlanReport:
@@ -342,10 +360,8 @@ class TestPlanReport:
 
     def test_cached_jobs_do_not_count_toward_size(self, tmp_path):
         campaign = small_campaign()
-        store = SegmentedResultStore(tmp_path, segment="coordinator")
-        ShardedCampaignRunner(store, shards=1).run(campaign)
-        store.refresh()
-        plan = CampaignRunner(store).plan(campaign)
+        api.run_campaign(campaign, store=tmp_path, shards=1)
+        plan = CampaignRunner(SegmentedResultStore(tmp_path)).plan(campaign)
         assert plan.cached == 4
         assert plan.estimated_store_bytes == 0
         rendered = report.render_campaign_plan(campaign.name, plan)
